@@ -1,4 +1,4 @@
-//! Fused multi-op graph nodes for the Blocked backend.
+//! Fused multi-op graph nodes.
 //!
 //! The layer implementations in `mlperf-nn` are written as compositions
 //! of primitive [`Var`] ops; on the tiny tensors the miniaturized
@@ -11,9 +11,9 @@
 //! # Bit-identity contract
 //!
 //! Each fused op is required to produce *bit-identical* forwards AND
-//! gradients to the composition it replaces — the harness asserts that
-//! training trajectories match across backends, and f32 trajectories
-//! diverge chaotically under any reordering. Every loop below therefore
+//! gradients to the composition it replaces — a test holds whole
+//! training runs to the reference oracle, and f32 trajectories diverge
+//! chaotically under any reordering. Every loop below therefore
 //! replicates the composed ops' arithmetic element by element in the
 //! same order:
 //!
@@ -24,13 +24,14 @@
 //!   never a fused multiply-add;
 //! - where a gradient receives two contributions, they are added in the
 //!   same arrival order as the backward pass's descending-id walk;
-//! - matrix products reuse the backend GEMM kernels, which are bitwise
-//!   interchangeable by construction (see `mlperf-tensor`'s parity
+//! - matrix products reuse the tensor GEMM kernels, which are bitwise
+//!   interchangeable with the oracle's (see `mlperf-tensor`'s parity
 //!   suite); products commuted relative to the composition are exact
 //!   because f32 multiplication commutes.
 //!
-//! The differential tests in `mlperf-nn` (`tests/fused_parity.rs`) hold
-//! the fused paths to `to_bits()` equality against the compositions.
+//! The compositions survive as the test-only oracle in `mlperf-nn`,
+//! whose differential tests (`tests/fused_parity.rs`) hold the fused
+//! paths to `to_bits()` equality against them.
 
 use crate::var::Var;
 use mlperf_tensor::Tensor;
@@ -86,7 +87,6 @@ impl Var {
         let d = *shape.last().expect("layer_norm_fused needs at least 1-D input");
         assert_eq!(gamma.shape(), vec![d], "layer_norm_fused gamma shape");
         assert_eq!(beta.shape(), vec![d], "layer_norm_fused beta shape");
-        let kind = self.value().backend();
         let inv = 1.0 / d as f32;
 
         let rows = self.value().len() / d;
@@ -136,7 +136,7 @@ impl Var {
 
         let gamma_data = gamma.value().data().to_vec();
         let out_shape = shape.clone();
-        let value = Tensor::from_vec(y, &out_shape).on(kind);
+        let value = Tensor::from_vec(y, &out_shape);
         // `x` appears TWICE as a parent: the composition delivers two
         // separate gradient contributions to it (one through the
         // centering subtraction, one through the mean), and when `x`
@@ -158,7 +158,7 @@ impl Var {
                 for i in 0..gs.len() {
                     prod[i] = gs[i] * norm[i];
                 }
-                let g_gamma = Tensor::from_vec(prod, &out_shape).on(kind).sum_to(&[d]);
+                let g_gamma = Tensor::from_vec(prod, &out_shape).sum_to(&[d]);
 
                 // First contribution to `x`: the accumulated centered
                 // gradient passed through the subtraction's identity.
@@ -197,8 +197,8 @@ impl Var {
                     }
                 }
                 vec![
-                    Some(Tensor::from_vec(gx_a, &out_shape).on(kind)),
-                    Some(Tensor::from_vec(gx_b, &out_shape).on(kind)),
+                    Some(Tensor::from_vec(gx_a, &out_shape)),
+                    Some(Tensor::from_vec(gx_b, &out_shape)),
                     Some(g_gamma),
                     Some(g_beta),
                 ]
@@ -229,17 +229,13 @@ impl Var {
         assert_eq!(d % heads, 0, "model dim {d} not divisible by {heads} heads");
         let h = heads;
         let dh = d / h;
-        let kind = q.value().backend();
         let inv_sqrt = 1.0 / (dh as f32).sqrt();
 
-        let qh =
-            Tensor::from_vec(to_heads(q.value().data(), b, tq, h, dh), &[b * h, tq, dh]).on(kind);
-        let kh =
-            Tensor::from_vec(to_heads(k.value().data(), b, tk, h, dh), &[b * h, tk, dh]).on(kind);
-        let vh =
-            Tensor::from_vec(to_heads(v.value().data(), b, tk, h, dh), &[b * h, tk, dh]).on(kind);
+        let qh = Tensor::from_vec(to_heads(q.value().data(), b, tq, h, dh), &[b * h, tq, dh]);
+        let kh = Tensor::from_vec(to_heads(k.value().data(), b, tk, h, dh), &[b * h, tk, dh]);
+        let vh = Tensor::from_vec(to_heads(v.value().data(), b, tk, h, dh), &[b * h, tk, dh]);
         // q·kᵀ via the transposed-GEMM kernel ≡ bmm against a permuted
-        // key (bitwise, per the backend parity suite), then the same
+        // key (bitwise, per the kernel parity suite), then the same
         // scale → mask-add op order as the composition.
         let mut scores = qh.bmm_abt(&kh).scale(inv_sqrt);
         if let Some(m) = mask {
@@ -248,14 +244,13 @@ impl Var {
         }
         let attn = scores.softmax_last_axis();
         let ctx = attn.bmm(&vh);
-        let merged = Tensor::from_vec(from_heads(ctx.data(), b, tq, h, dh), &[b, tq, d]).on(kind);
+        let merged = Tensor::from_vec(from_heads(ctx.data(), b, tq, h, dh), &[b, tq, d]);
 
         Var::from_op(
             merged,
             vec![q.clone(), k.clone(), v.clone()],
             Box::new(move |g| {
-                let g_ctx =
-                    Tensor::from_vec(to_heads(g.data(), b, tq, h, dh), &[b * h, tq, dh]).on(kind);
+                let g_ctx = Tensor::from_vec(to_heads(g.data(), b, tq, h, dh), &[b * h, tq, dh]);
                 let g_attn = g_ctx.bmm_abt(&vh);
                 let g_vh = attn.bmm_atb(&g_ctx);
 
@@ -282,7 +277,7 @@ impl Var {
                 for vsc in g_scores.iter_mut() {
                     *vsc *= inv_sqrt;
                 }
-                let g_s0 = Tensor::from_vec(g_scores, &[b * h, tq, tk]).on(kind);
+                let g_s0 = Tensor::from_vec(g_scores, &[b * h, tq, tk]);
 
                 // g_qh = g_s0 · kh  (≡ composed bmm_abt against the
                 // permuted key); g_kh = g_s0ᵀ · qh (≡ composed
@@ -292,18 +287,9 @@ impl Var {
                 let g_kh = g_s0.bmm_atb(&qh);
 
                 vec![
-                    Some(
-                        Tensor::from_vec(from_heads(g_qh.data(), b, tq, h, dh), &[b, tq, d])
-                            .on(kind),
-                    ),
-                    Some(
-                        Tensor::from_vec(from_heads(g_kh.data(), b, tk, h, dh), &[b, tk, d])
-                            .on(kind),
-                    ),
-                    Some(
-                        Tensor::from_vec(from_heads(g_vh.data(), b, tk, h, dh), &[b, tk, d])
-                            .on(kind),
-                    ),
+                    Some(Tensor::from_vec(from_heads(g_qh.data(), b, tq, h, dh), &[b, tq, d])),
+                    Some(Tensor::from_vec(from_heads(g_kh.data(), b, tk, h, dh), &[b, tk, d])),
+                    Some(Tensor::from_vec(from_heads(g_vh.data(), b, tk, h, dh), &[b, tk, d])),
                 ]
             }),
         )

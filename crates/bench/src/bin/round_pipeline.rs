@@ -12,9 +12,6 @@
 //! round_pipeline storm [--clients N] [--bundles N] [--round vX.Y] [--seed N]
 //! ```
 //!
-//! Every subcommand accepts `--backend reference|blocked` to pin the
-//! tensor backend the run executes on (default: `reference`).
-//!
 //! `write` generates synthetic multi-vendor rounds (each with a
 //! deliberately corrupted bundle, so ingest has something to
 //! quarantine) and persists them as real `:::MLLOG` log files plus
@@ -93,7 +90,7 @@ use mlperf_submission::{
     SyntheticRoundSpec, MANIFEST_SCHEMA,
 };
 use mlperf_telemetry::{write_prometheus, write_trace, Reporter, SpanSampling, Telemetry};
-use mlperf_tensor::{enable_kernel_stats, kernel_stats, set_default_backend, BackendKind};
+use mlperf_tensor::{enable_kernel_stats, kernel_stats};
 use serde_json::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -115,8 +112,7 @@ fn usage() -> ExitCode {
         "usage: round_pipeline [write|ingest|report|migrate|demo|loadgen|serve|storm] \
          [--archive DIR] [--rounds N] [--seed N] [--bundles N] [--chips N] [--schema N] \
          [--streaming] [--trace FILE] [--metrics FILE] [--progress] [--sample N] \
-         [--log-dir DIR] [--backend reference|blocked] [--addr HOST:PORT] [--clients N] \
-         [--round vX.Y]"
+         [--log-dir DIR] [--addr HOST:PORT] [--clients N] [--round vX.Y]"
     );
     ExitCode::FAILURE
 }
@@ -147,8 +143,6 @@ struct Args {
     sample: Option<u64>,
     /// `loadgen`: also write each scenario's raw `:::MLLOG` log here.
     log_dir: Option<PathBuf>,
-    /// Tensor backend the run executes on (process default when unset).
-    backend: Option<BackendKind>,
     /// `serve`: listen address (default 127.0.0.1:8090).
     addr: Option<String>,
     /// `storm`: concurrent submitting clients.
@@ -180,7 +174,6 @@ fn parse_args() -> Option<Args> {
         progress: false,
         sample: None,
         log_dir: None,
-        backend: None,
         addr: None,
         clients: 8,
         round: None,
@@ -207,7 +200,6 @@ fn parse_args() -> Option<Args> {
             "--metrics" => parsed.metrics = Some(PathBuf::from(value)),
             "--sample" => parsed.sample = Some(value.parse().ok()?),
             "--log-dir" => parsed.log_dir = Some(PathBuf::from(value)),
-            "--backend" => parsed.backend = Some(BackendKind::parse(&value)?),
             "--addr" => parsed.addr = Some(value),
             "--clients" => parsed.clients = value.parse().ok()?,
             "--round" => match value.parse::<Round>() {
@@ -736,11 +728,7 @@ fn main() -> ExitCode {
     if args.metrics.is_some() {
         enable_kernel_stats();
     }
-    if let Some(kind) = args.backend {
-        set_default_backend(kind);
-    }
-    println!("MLPerf submission-round pipeline (Section 4)");
-    println!("tensor backend: {}\n", mlperf_tensor::default_backend());
+    println!("MLPerf submission-round pipeline (Section 4)\n");
 
     let result = match args.command.as_str() {
         "write" => {

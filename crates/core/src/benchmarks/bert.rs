@@ -7,7 +7,7 @@ use mlperf_data::{epoch_batches, MaskedLmConfig, MaskedSentence, SyntheticMasked
 use mlperf_models::{BertConfig, BertMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x7be2_91a4;
 
@@ -18,7 +18,6 @@ pub struct BertBenchmark {
     batch_size: usize,
     lr: f32,
     warmup_steps: usize,
-    backend: BackendKind,
     data: Option<SyntheticMaskedLm>,
     model: Option<BertMini>,
     optimizer: Option<Adam>,
@@ -34,21 +33,12 @@ impl BertBenchmark {
             batch_size: 16,
             lr: 0.01,
             warmup_steps: 12,
-            backend: default_backend(),
             data: None,
             model: None,
             optimizer: None,
             data_rng: None,
             step: 0,
         }
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 }
 
@@ -68,7 +58,7 @@ impl Benchmark for BertBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = BertMini::new(
             BertConfig {
                 vocab: self.data_config.vocab,

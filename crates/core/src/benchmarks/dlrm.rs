@@ -7,7 +7,7 @@ use mlperf_data::{auc, epoch_batches, ClickLogConfig, Impression, SyntheticClick
 use mlperf_models::{DlrmConfig, DlrmMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x1c9d_44f7;
 
@@ -18,7 +18,6 @@ pub struct DlrmBenchmark {
     batch_size: usize,
     lr: f32,
     embed_dim: usize,
-    backend: BackendKind,
     data: Option<SyntheticClickLog>,
     model: Option<DlrmMini>,
     optimizer: Option<Adam>,
@@ -33,20 +32,11 @@ impl DlrmBenchmark {
             batch_size: 64,
             lr: 0.01,
             embed_dim: 8,
-            backend: default_backend(),
             data: None,
             model: None,
             optimizer: None,
             data_rng: None,
         }
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 }
 
@@ -66,7 +56,7 @@ impl Benchmark for DlrmBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = DlrmMini::new(
             DlrmConfig {
                 dense_dim: self.data_config.dense_dim,

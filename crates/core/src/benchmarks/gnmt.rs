@@ -8,7 +8,7 @@ use mlperf_data::{epoch_batches, SyntheticTranslation, TranslationConfig, Transl
 use mlperf_models::{GnmtConfig, GnmtMini};
 use mlperf_nn::Module;
 use mlperf_optim::{clip_grad_norm, Adam, LrSchedule, MultiStepDecay, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x48d1_59e2; // same corpus as the Transformer row (both use WMT EN-DE)
 
@@ -19,7 +19,6 @@ pub struct GnmtBenchmark {
     batch_size: usize,
     schedule: MultiStepDecay,
     grad_clip: f32,
-    backend: BackendKind,
     data: Option<SyntheticTranslation>,
     model: Option<GnmtMini>,
     optimizer: Option<Adam>,
@@ -36,20 +35,11 @@ impl GnmtBenchmark {
             // staircase settles it (the reference similarly decays).
             schedule: MultiStepDecay { base: 0.012, gamma: 0.4, milestones: vec![50, 70] },
             grad_clip: 5.0,
-            backend: default_backend(),
             data: None,
             model: None,
             optimizer: None,
             data_rng: None,
         }
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 }
 
@@ -69,7 +59,7 @@ impl Benchmark for GnmtBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = GnmtMini::new(
             GnmtConfig {
                 vocab: self.data_config.vocab,

@@ -14,7 +14,7 @@ use mlperf_data::{epoch_batches, DetectionSample, ShapesConfig, SyntheticShapes}
 use mlperf_models::{MaskRcnnConfig, MaskRcnnMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x369c_f258;
 /// Table 1 box threshold.
@@ -28,7 +28,6 @@ pub struct MaskRcnnBenchmark {
     data_config: ShapesConfig,
     batch_size: usize,
     lr: f32,
-    backend: BackendKind,
     data: Option<SyntheticShapes>,
     model: Option<MaskRcnnMini>,
     optimizer: Option<Adam>,
@@ -44,7 +43,6 @@ impl MaskRcnnBenchmark {
             data_config: ShapesConfig::default(),
             batch_size: 8,
             lr: 0.004,
-            backend: default_backend(),
             data: None,
             model: None,
             optimizer: None,
@@ -56,14 +54,6 @@ impl MaskRcnnBenchmark {
     /// The most recent `(box AP, mask AP)` pair from `evaluate`.
     pub fn last_aps(&self) -> (f64, f64) {
         self.last_aps
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 }
 
@@ -83,7 +73,7 @@ impl Benchmark for MaskRcnnBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = MaskRcnnMini::new(
             MaskRcnnConfig {
                 in_channels: 1,

@@ -15,7 +15,7 @@ use mlperf_data::{epoch_batches, reference_games, GoDataset};
 use mlperf_models::{MiniGoConfig, MiniGoNet};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x6b1d_4e87;
 
@@ -26,7 +26,6 @@ pub struct MiniGoBenchmark {
     batch_size: usize,
     lr: f32,
     games_per_epoch: usize,
-    backend: BackendKind,
     eval_data: Option<GoDataset>,
     model: Option<MiniGoNet>,
     optimizer: Option<Adam>,
@@ -45,7 +44,6 @@ impl MiniGoBenchmark {
             batch_size: 32,
             lr: 0.005,
             games_per_epoch: 4,
-            backend: default_backend(),
             eval_data: None,
             model: None,
             optimizer: None,
@@ -54,14 +52,6 @@ impl MiniGoBenchmark {
             pool: Vec::new(),
             pool_cap: 1400,
         }
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 }
 
@@ -84,7 +74,7 @@ impl Benchmark for MiniGoBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = MiniGoNet::new(MiniGoConfig::default(), &mut rng);
         self.optimizer = Some(Adam::with_defaults(model.params()));
         self.model = Some(model);

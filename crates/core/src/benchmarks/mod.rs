@@ -36,7 +36,6 @@ pub use transformer::TransformerBenchmark;
 
 use crate::harness::Benchmark;
 use crate::suite::BenchmarkId;
-use mlperf_tensor::BackendKind;
 
 /// Builds the default-scale implementation of any suite benchmark.
 pub fn build(id: BenchmarkId) -> Box<dyn Benchmark> {
@@ -54,52 +53,33 @@ pub fn build(id: BenchmarkId) -> Box<dyn Benchmark> {
     }
 }
 
-/// Builds the default-scale implementation pinned to a tensor backend,
-/// independent of the process default (safe under concurrent tests).
-pub fn build_on(id: BenchmarkId, backend: BackendKind) -> Box<dyn Benchmark> {
-    match id {
-        BenchmarkId::ImageClassification => Box::new(ResNetBenchmark::new().with_backend(backend)),
-        BenchmarkId::ObjectDetection => Box::new(SsdBenchmark::new().with_backend(backend)),
-        BenchmarkId::InstanceSegmentation => {
-            Box::new(MaskRcnnBenchmark::new().with_backend(backend))
-        }
-        BenchmarkId::TranslationRecurrent => Box::new(GnmtBenchmark::new().with_backend(backend)),
-        BenchmarkId::TranslationNonRecurrent => {
-            Box::new(TransformerBenchmark::new().with_backend(backend))
-        }
-        BenchmarkId::Recommendation => Box::new(NcfBenchmark::new().with_backend(backend)),
-        BenchmarkId::ReinforcementLearning => {
-            Box::new(MiniGoBenchmark::new().with_backend(backend))
-        }
-        BenchmarkId::LanguageModeling => Box::new(BertBenchmark::new().with_backend(backend)),
-        BenchmarkId::RecommendationDlrm => Box::new(DlrmBenchmark::new().with_backend(backend)),
-        BenchmarkId::SpeechRecognition => Box::new(RnnTBenchmark::new().with_backend(backend)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "full convergence runs on both backends; run in the release CI step"]
-    fn blocked_backend_converges_identically() {
-        // The Blocked backend preserves per-element summation order, so
-        // for the (finite) tensors these workloads produce, whole runs
-        // — every weight update, every eval — are bit-identical to
-        // Reference: same quality, same epochs-to-target.
+    #[ignore = "trains every benchmark twice; run in the release CI step"]
+    fn every_benchmark_trains_identically_on_the_oracle() {
+        // The kernels preserve the reference loops' per-element
+        // summation order and the fused nodes replay their
+        // compositions' arithmetic, so for the (finite) tensors these
+        // workloads produce a whole run — every weight update, every
+        // eval — is bit-identical to the same run on the test-only
+        // reference oracle: same quality history, same epochs.
         use crate::harness::run_benchmark;
         use crate::timing::RealClock;
+        use mlperf_tensor::oracle::reference;
+        const SEED: u64 = 21;
         let clock = RealClock::new();
-        for id in [BenchmarkId::LanguageModeling, BenchmarkId::RecommendationDlrm] {
-            let mut reference = build_on(id, BackendKind::Reference);
-            let mut blocked = build_on(id, BackendKind::Blocked);
-            let r = run_benchmark(reference.as_mut(), 21, &clock);
-            let b = run_benchmark(blocked.as_mut(), 21, &clock);
-            assert!(r.reached_target, "{id}: reference run missed its target");
-            assert!(b.reached_target, "{id}: blocked run missed its target");
-            assert_eq!(r.quality, b.quality, "{id}: converged quality diverged across backends");
-            assert_eq!(r.epochs, b.epochs, "{id}: epochs-to-target diverged across backends");
+        for id in BenchmarkId::ALL {
+            let production = run_benchmark(build(id).as_mut(), SEED, &clock);
+            let oracle = reference(|| run_benchmark(build(id).as_mut(), SEED, &clock));
+            assert_eq!(
+                production.quality_history, oracle.quality_history,
+                "{id}: quality history diverged from the oracle"
+            );
+            assert_eq!(production.epochs, oracle.epochs, "{id}: epochs diverged from the oracle");
+            assert_eq!(production.reached_target, oracle.reached_target);
         }
     }
 

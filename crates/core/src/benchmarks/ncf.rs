@@ -7,7 +7,7 @@ use mlperf_data::{epoch_batches, CfConfig, SyntheticCf};
 use mlperf_models::{Ncf, NcfConfig};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x5af0_3c6b;
 
@@ -18,7 +18,6 @@ pub struct NcfBenchmark {
     batch_size: usize,
     lr: f32,
     negatives_per_positive: usize,
-    backend: BackendKind,
     data: Option<SyntheticCf>,
     model: Option<Ncf>,
     optimizer: Option<Adam>,
@@ -33,20 +32,11 @@ impl NcfBenchmark {
             batch_size: 64,
             lr: 0.01,
             negatives_per_positive: 2,
-            backend: default_backend(),
             data: None,
             model: None,
             optimizer: None,
             data_rng: None,
         }
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 }
 
@@ -66,7 +56,7 @@ impl Benchmark for NcfBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = Ncf::new(
             NcfConfig {
                 users: self.data_config.users,

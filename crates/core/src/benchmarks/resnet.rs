@@ -7,7 +7,7 @@ use mlperf_data::{epoch_batches, Compose, ImageNetConfig, PackedImages, Syntheti
 use mlperf_models::{ResNetConfig, ResNetMini};
 use mlperf_nn::Module;
 use mlperf_optim::{linear_scaled_lr, LrSchedule, MultiStepDecay, Optimizer, SgdTorch};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 /// Seed defining the dataset (shared by every run, like ImageNet).
 const DATASET_SEED: u64 = 0x1357_9bdf;
@@ -19,7 +19,6 @@ const REFERENCE_BATCH: usize = 32;
 pub struct ResNetBenchmark {
     data_config: ImageNetConfig,
     batch_size: usize,
-    backend: BackendKind,
     data: Option<SyntheticImageNet>,
     packed: Option<PackedImages>,
     model: Option<ResNetMini>,
@@ -45,7 +44,6 @@ impl ResNetBenchmark {
         ResNetBenchmark {
             data_config: ImageNetConfig::default(),
             batch_size,
-            backend: default_backend(),
             data: None,
             packed: None,
             model: None,
@@ -62,14 +60,6 @@ impl ResNetBenchmark {
     /// raised ResNet's to 75.9% — §6).
     pub fn with_version(mut self, version: SuiteVersion) -> Self {
         self.version = version;
-        self
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
         self
     }
 
@@ -105,7 +95,7 @@ impl Benchmark for ResNetBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = ResNetMini::new(
             ResNetConfig {
                 in_channels: self.data_config.channels,

@@ -7,7 +7,7 @@ use mlperf_data::{epoch_batches, SpeechConfig, SyntheticSpeech, Utterance};
 use mlperf_models::{RnnTConfig, RnnTMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x93aa_07d1;
 
@@ -18,7 +18,6 @@ pub struct RnnTBenchmark {
     batch_size: usize,
     lr: f32,
     hidden: usize,
-    backend: BackendKind,
     data: Option<SyntheticSpeech>,
     model: Option<RnnTMini>,
     optimizer: Option<Adam>,
@@ -33,20 +32,11 @@ impl RnnTBenchmark {
             batch_size: 16,
             lr: 0.01,
             hidden: 16,
-            backend: default_backend(),
             data: None,
             model: None,
             optimizer: None,
             data_rng: None,
         }
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 }
 
@@ -66,7 +56,7 @@ impl Benchmark for RnnTBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = RnnTMini::new(
             RnnTConfig {
                 frame_dim: self.data_config.frame_dim,

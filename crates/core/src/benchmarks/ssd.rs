@@ -8,7 +8,7 @@ use mlperf_data::{epoch_batches, DetectionSample, ShapesConfig, SyntheticShapes}
 use mlperf_models::{SsdConfig, SsdMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x2468_ace0;
 
@@ -18,7 +18,6 @@ pub struct SsdBenchmark {
     data_config: ShapesConfig,
     batch_size: usize,
     lr: f32,
-    backend: BackendKind,
     data: Option<SyntheticShapes>,
     model: Option<SsdMini>,
     optimizer: Option<Adam>,
@@ -33,7 +32,6 @@ impl SsdBenchmark {
             data_config: ShapesConfig::default(),
             batch_size: 16,
             lr: 0.004,
-            backend: default_backend(),
             data: None,
             model: None,
             optimizer: None,
@@ -46,14 +44,6 @@ impl SsdBenchmark {
     /// raised SSD's to 23.0 mAP — §6).
     pub fn with_version(mut self, version: SuiteVersion) -> Self {
         self.version = version;
-        self
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
         self
     }
 }
@@ -74,7 +64,7 @@ impl Benchmark for SsdBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = SsdMini::new(
             SsdConfig {
                 in_channels: 1,

@@ -8,7 +8,7 @@ use mlperf_data::{epoch_batches, SyntheticTranslation, TranslationConfig, Transl
 use mlperf_models::{TransformerConfig, TransformerMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, LrSchedule, MultiStepDecay, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x48d1_59e2;
 
@@ -18,7 +18,6 @@ pub struct TransformerBenchmark {
     data_config: TranslationConfig,
     batch_size: usize,
     schedule: MultiStepDecay,
-    backend: BackendKind,
     data: Option<SyntheticTranslation>,
     model: Option<TransformerMini>,
     optimizer: Option<Adam>,
@@ -32,20 +31,11 @@ impl TransformerBenchmark {
             data_config: TranslationConfig::default(),
             batch_size: 32,
             schedule: MultiStepDecay { base: 0.01, gamma: 0.5, milestones: vec![45] },
-            backend: default_backend(),
             data: None,
             model: None,
             optimizer: None,
             data_rng: None,
         }
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 }
 
@@ -65,7 +55,7 @@ impl Benchmark for TransformerBenchmark {
     }
 
     fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
+        let mut rng = TensorRng::new(seed);
         let model = TransformerMini::new(
             TransformerConfig {
                 vocab: self.data_config.vocab,

@@ -3,7 +3,7 @@
 
 use crate::{Linear, Module};
 use mlperf_autograd::Var;
-use mlperf_tensor::{BackendKind, Tensor, TensorRng};
+use mlperf_tensor::{Tensor, TensorRng};
 
 /// Multi-head attention with separate query/key/value/output
 /// projections, after Vaswani et al. (2017).
@@ -15,7 +15,6 @@ pub struct MultiHeadAttention {
     wo: Linear,
     model_dim: usize,
     heads: usize,
-    head_dim: usize,
 }
 
 impl MultiHeadAttention {
@@ -33,7 +32,6 @@ impl MultiHeadAttention {
             wo: Linear::new(model_dim, model_dim, false, rng),
             model_dim,
             heads,
-            head_dim: model_dim / heads,
         }
     }
 
@@ -47,37 +45,47 @@ impl MultiHeadAttention {
     ///
     /// Panics on dimension mismatches.
     pub fn forward(&self, query: &Var, key: &Var, value: &Var, mask: Option<&Tensor>) -> Var {
-        let (b, tq, d) = dims3(query);
-        let (_, tk, _) = dims3(key);
+        let (_, _, d) = dims3(query);
         assert_eq!(d, self.model_dim, "attention model-dim mismatch");
-        if query.value().backend() == BackendKind::Blocked {
-            // One fused graph node for everything between the q/k/v
-            // projections and the output projection, bit-identical to
-            // the composition below.
-            let merged = Var::attention_core(
-                &self.wq.forward(query),
-                &self.wk.forward(key),
-                &self.wv.forward(value),
-                mask,
-                self.heads,
-            );
-            return self.wo.forward(&merged);
+        #[cfg(feature = "oracle")]
+        if mlperf_tensor::oracle::active() {
+            return self.forward_composed(query, key, value, mask);
         }
+        // One fused graph node for everything between the q/k/v
+        // projections and the output projection.
+        let merged = Var::attention_core(
+            &self.wq.forward(query),
+            &self.wk.forward(key),
+            &self.wv.forward(value),
+            mask,
+            self.heads,
+        );
+        self.wo.forward(&merged)
+    }
+
+    /// The reference oracle for [`MultiHeadAttention::forward`]: the
+    /// primitive-op composition the fused node is bit-identical to.
+    #[cfg(feature = "oracle")]
+    fn forward_composed(&self, query: &Var, key: &Var, value: &Var, mask: Option<&Tensor>) -> Var {
+        let (b, tq, _) = dims3(query);
+        let (_, tk, _) = dims3(key);
+        let head_dim = self.model_dim / self.heads;
         let q = self.split_heads(&self.wq.forward(query), b, tq);
         let k = self.split_heads(&self.wk.forward(key), b, tk);
         let v = self.split_heads(&self.wv.forward(value), b, tk);
         // [b*h, tq, dh] x [b*h, dh, tk] -> [b*h, tq, tk]
-        let mut scores = q.bmm(&k.permute(&[0, 2, 1])).scale(1.0 / (self.head_dim as f32).sqrt());
+        let mut scores = q.bmm(&k.permute(&[0, 2, 1])).scale(1.0 / (head_dim as f32).sqrt());
         if let Some(m) = mask {
             assert_eq!(m.shape(), &[tq, tk], "mask must be [t_q, t_k]");
             scores = scores.add(&Var::constant(m.clone()));
         }
         let attn = scores.softmax_last_axis();
         let ctx = attn.bmm(&v); // [b*h, tq, dh]
-        let merged = ctx
-            .reshape(&[b, self.heads, tq, self.head_dim])
-            .permute(&[0, 2, 1, 3])
-            .reshape(&[b, tq, self.model_dim]);
+        let merged = ctx.reshape(&[b, self.heads, tq, head_dim]).permute(&[0, 2, 1, 3]).reshape(&[
+            b,
+            tq,
+            self.model_dim,
+        ]);
         self.wo.forward(&merged)
     }
 
@@ -86,11 +94,13 @@ impl MultiHeadAttention {
         self.forward(x, x, x, mask)
     }
 
+    #[cfg(feature = "oracle")]
     fn split_heads(&self, x: &Var, b: usize, t: usize) -> Var {
-        x.reshape(&[b, t, self.heads, self.head_dim]).permute(&[0, 2, 1, 3]).reshape(&[
+        let head_dim = self.model_dim / self.heads;
+        x.reshape(&[b, t, self.heads, head_dim]).permute(&[0, 2, 1, 3]).reshape(&[
             b * self.heads,
             t,
-            self.head_dim,
+            head_dim,
         ])
     }
 

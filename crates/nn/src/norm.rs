@@ -3,7 +3,7 @@
 
 use crate::Module;
 use mlperf_autograd::Var;
-use mlperf_tensor::{BackendKind, Tensor};
+use mlperf_tensor::Tensor;
 use std::cell::RefCell;
 
 /// Batch normalization over the channel dimension of NCHW inputs, with
@@ -125,12 +125,8 @@ impl LayerNorm {
         }
     }
 
-    /// Normalizes the last axis of `x`.
-    ///
-    /// On the `Blocked` backend this runs as a single fused graph node
-    /// (bit-identical to the composition below — see
-    /// `mlperf-autograd`'s fused module); the `Reference` backend keeps
-    /// the primitive-op composition.
+    /// Normalizes the last axis of `x`, as a single fused graph node
+    /// (see `mlperf-autograd`'s fused module).
     ///
     /// # Panics
     ///
@@ -143,9 +139,18 @@ impl LayerNorm {
             "layer norm expects trailing dim {}, got {}",
             self.dim, shape[last_axis]
         );
-        if x.value().backend() == BackendKind::Blocked {
-            return x.layer_norm_fused(&self.gamma, &self.beta, self.eps);
+        #[cfg(feature = "oracle")]
+        if mlperf_tensor::oracle::active() {
+            return self.forward_composed(x);
         }
+        x.layer_norm_fused(&self.gamma, &self.beta, self.eps)
+    }
+
+    /// The reference oracle for [`LayerNorm::forward`]: the primitive-op
+    /// composition the fused node is bit-identical to.
+    #[cfg(feature = "oracle")]
+    fn forward_composed(&self, x: &Var) -> Var {
+        let last_axis = x.shape().len() - 1;
         let mean = x.mean_axis(last_axis, true);
         let centered = x.sub(&mean);
         let var = centered.square().mean_axis(last_axis, true);

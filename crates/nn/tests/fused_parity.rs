@@ -1,51 +1,60 @@
-//! Differential tests for the fused Blocked-backend graph nodes.
+//! Differential tests for the fused graph nodes.
 //!
-//! `LayerNorm` and `MultiHeadAttention` dispatch to single fused nodes
-//! when their input is tagged `Blocked`, and to the primitive-op
-//! composition on `Reference`. The fused implementations are required
-//! to be *bit-identical* to the compositions — in the forward value AND
-//! in every gradient — because the harness asserts that training
-//! trajectories match across backends. These tests run the same layer
-//! on both backends and compare raw `f32` bits, no tolerance.
+//! `LayerNorm` and `MultiHeadAttention` run as single fused nodes; the
+//! primitive-op compositions they replace survive as the reference
+//! oracle, selected by `mlperf_tensor::oracle::reference`. The fused
+//! implementations are required to be *bit-identical* to the
+//! compositions — in the forward value AND in every gradient — because
+//! the trajectory-identity test holds whole training runs to the
+//! oracle. These tests run the same layer both ways and compare raw
+//! `f32` bits, no tolerance.
 
 use mlperf_autograd::Var;
 use mlperf_nn::{causal_mask, LayerNorm, Module, MultiHeadAttention};
-use mlperf_tensor::{BackendKind, Tensor, TensorRng};
+use mlperf_tensor::oracle::reference;
+use mlperf_tensor::{Tensor, TensorRng};
 
-fn assert_bits_equal(label: &str, reference: &Tensor, blocked: &Tensor) {
-    assert_eq!(reference.shape(), blocked.shape(), "{label}: shape mismatch");
-    for (i, (r, b)) in reference.data().iter().zip(blocked.data()).enumerate() {
-        assert_eq!(r.to_bits(), b.to_bits(), "{label}: element {i} diverged: {r} vs {b}");
+fn assert_bits_equal(label: &str, reference: &Tensor, fused: &Tensor) {
+    assert_eq!(reference.shape(), fused.shape(), "{label}: shape mismatch");
+    for (i, (r, f)) in reference.data().iter().zip(fused.data()).enumerate() {
+        assert_eq!(r.to_bits(), f.to_bits(), "{label}: element {i} diverged: {r} vs {f}");
     }
 }
 
-/// Runs `f` on both backends with identical weights and input, and
-/// asserts bitwise equality of output, input gradient, and every
-/// parameter gradient.
+/// A layer's forward value and the gradients of `inputs` then `params`.
+type Outcome = (Tensor, Vec<Tensor>);
+
+/// Runs `f` from a fresh `seed` on the oracle and on the production
+/// path, and asserts bitwise equality of the outcomes.
+fn assert_parity(seed: u64, f: impl Fn(&mut TensorRng) -> Outcome) {
+    let (ref_out, ref_grads) = reference(|| f(&mut TensorRng::new(seed)));
+    let (out, grads) = f(&mut TensorRng::new(seed));
+    assert_bits_equal("forward", &ref_out, &out);
+    assert_eq!(ref_grads.len(), grads.len());
+    for (i, (r, g)) in ref_grads.iter().zip(&grads).enumerate() {
+        assert_bits_equal(&format!("grad {i}"), r, g);
+    }
+}
+
+/// Backpropagates `y.sum()` and collects the gradients of `vars`.
+fn outcome(y: &Var, vars: &[Var]) -> Outcome {
+    y.sum().backward();
+    let grads = vars.iter().map(|p| p.grad().expect("gradient missing")).collect();
+    (y.value_clone(), grads)
+}
+
+/// Asserts bitwise parity of a layer applied to one input of `shape`.
 fn assert_layer_parity(
     shape: &[usize],
     seed: u64,
     f: impl Fn(&mut TensorRng, &Var) -> (Var, Vec<Var>),
 ) {
-    let mut outputs = Vec::new();
-    for kind in BackendKind::ALL {
-        let mut rng = TensorRng::new(seed).with_backend(kind);
+    assert_parity(seed, |rng| {
         let x = Var::param(rng.normal(shape, 0.0, 1.0));
-        let (y, params) = f(&mut rng, &x);
-        y.sum().backward();
-        let grads: Vec<Tensor> = std::iter::once(&x)
-            .chain(params.iter())
-            .map(|p| p.grad().expect("gradient missing"))
-            .collect();
-        outputs.push((y.value_clone(), grads));
-    }
-    let (ref_out, ref_grads) = &outputs[0];
-    let (blk_out, blk_grads) = &outputs[1];
-    assert_bits_equal("forward", ref_out, blk_out);
-    assert_eq!(ref_grads.len(), blk_grads.len());
-    for (i, (r, b)) in ref_grads.iter().zip(blk_grads).enumerate() {
-        assert_bits_equal(&format!("grad {i}"), r, b);
-    }
+        let (y, params) = f(rng, &x);
+        let vars: Vec<Var> = std::iter::once(x).chain(params).collect();
+        outcome(&y, &vars)
+    });
 }
 
 #[test]
@@ -79,21 +88,12 @@ fn masked_attention_fused_matches_composition() {
 #[test]
 fn cross_attention_fused_matches_composition() {
     // Distinct query and key/value lengths exercise the tq != tk paths.
-    for kind in BackendKind::ALL {
-        let mut rng = TensorRng::new(19).with_backend(kind);
+    assert_parity(19, |rng| {
         let q = Var::param(rng.normal(&[2, 4, 8], 0.0, 1.0));
         let kv = Var::param(rng.normal(&[2, 7, 8], 0.0, 1.0));
-        let mha = MultiHeadAttention::new(8, 2, &mut rng);
-        mha.forward(&q, &kv, &kv, None).sum().backward();
-        // Compare against a freshly seeded reference run.
-        if kind == BackendKind::Blocked {
-            let mut rng2 = TensorRng::new(19).with_backend(BackendKind::Reference);
-            let q2 = Var::param(rng2.normal(&[2, 4, 8], 0.0, 1.0));
-            let kv2 = Var::param(rng2.normal(&[2, 7, 8], 0.0, 1.0));
-            let mha2 = MultiHeadAttention::new(8, 2, &mut rng2);
-            mha2.forward(&q2, &kv2, &kv2, None).sum().backward();
-            assert_bits_equal("cross q grad", &q2.grad().unwrap(), &q.grad().unwrap());
-            assert_bits_equal("cross kv grad", &kv2.grad().unwrap(), &kv.grad().unwrap());
-        }
-    }
+        let mha = MultiHeadAttention::new(8, 2, rng);
+        let y = mha.forward(&q, &kv, &kv, None);
+        let vars: Vec<Var> = [q, kv].into_iter().chain(mha.params()).collect();
+        outcome(&y, &vars)
+    });
 }

@@ -1,11 +1,11 @@
-//! A scoped worker pool with an atomic work cursor.
+//! A persistent worker pool with an atomic work cursor.
 //!
-//! This is the one pool idiom the whole workspace shares: `N` scoped
-//! threads (one per available core, capped at the item count) pull work
-//! items off a shared [`AtomicUsize`] cursor, so cheap items never wait
-//! behind an unlucky static partition. It was born in the submission
-//! ingest pipeline (`mlperf-submission`) and is now also the outer loop
-//! of the `Blocked` tensor backend (`mlperf-tensor`), which is why it
+//! This is the one pool idiom the whole workspace shares: the workers
+//! of one fan-out (one per available core, capped at the item count)
+//! pull work items off a shared [`AtomicUsize`] cursor, so cheap items
+//! never wait behind an unlucky static partition. It was born in the
+//! submission ingest pipeline (`mlperf-submission`) and is also the
+//! outer loop of every tensor kernel (`mlperf-tensor`), which is why it
 //! lives at the bottom of the dependency graph with no dependencies of
 //! its own.
 //!
@@ -23,19 +23,48 @@
 //!   pool — the shape tensor kernels want, where workers write disjoint
 //!   slices of a shared output buffer.
 //!
+//! # Lifecycle
+//!
+//! The tensor kernels fan out once per large GEMM, tens of thousands of
+//! times per training run, so a fan-out must cost far less than an OS
+//! thread spawn. The pool therefore keeps `cores - 1` helper threads
+//! alive for the life of the process, started on the first fan-out
+//! that can use them. A fan-out publishes its worker loop to the
+//! helpers and then runs the same loop on the calling thread, so the
+//! caller is always one of the workers. When the caller's loop ends
+//! (the cursor is exhausted) it withdraws the job: helpers that have
+//! not joined yet never will, and the caller waits only for the
+//! helpers already inside the loop. A panic on any worker is caught
+//! there and re-raised on the caller once every worker has left, and
+//! the helpers stay alive for the next fan-out.
+//!
+//! The pool runs one fan-out at a time. A fan-out started while
+//! another is in flight — nested inside a worker, or from an unrelated
+//! thread — runs its whole loop inline on its own thread, so callers
+//! never wait on each other and never deadlock.
+//!
 //! On a single-core host (or for a single item/chunk) every entry point
-//! degrades to an inline serial loop on the calling thread: no threads
-//! are spawned, so using the pool never costs anything when there is no
-//! parallelism to be had.
+//! runs inline on the calling thread and no helper is ever started.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, Once, OnceLock};
 use std::thread;
+
+/// Available cores, measured once per process: the call behind it
+/// reads cgroup files on Linux and costs microseconds.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    })
+}
 
 /// Number of pool workers for `items` work items: one per available
 /// core, capped at the item count, and at least one.
 pub fn workers_for(items: usize) -> usize {
-    thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1).min(items).max(1)
+    cores().min(items).max(1)
 }
 
 // Process-global pool statistics. This crate sits at the bottom of the
@@ -90,7 +119,7 @@ pub fn pool_stats() -> PoolSnapshot {
 /// Scope guard for one pool invocation: enqueues the work on entry,
 /// drops the pool-active count (and any unconsumed queue) on exit,
 /// even on panic unwind. Workers report completions through it, so it
-/// is shared by reference across the scoped threads.
+/// is shared by reference across the workers.
 struct PoolScope {
     queued: AtomicU64,
 }
@@ -139,6 +168,172 @@ impl Drop for BusyWorker {
     }
 }
 
+// ---------------------------------------------------------------------
+// The persistent helpers.
+// ---------------------------------------------------------------------
+
+/// A fan-out's worker loop with its borrow lifetime erased, so the
+/// `'static` helper threads can hold it.
+#[derive(Clone, Copy)]
+struct Job(*const (dyn Fn() + Sync + 'static));
+
+// SAFETY: the pointee is `Sync`, so calling it from several threads at
+// once is sound. The pointer is only dereferenced between a helper's
+// join (under the state lock, while `State::job` holds it) and the
+// helper's matching `running -= 1`; `fan_out` does not return before
+// `running` is back to zero, so the borrow it was made from outlives
+// every use.
+unsafe impl Send for Job {}
+
+struct State {
+    /// The fan-out in flight, while helpers may still join it.
+    job: Option<Job>,
+    /// Bumped per published fan-out, so a helper joins each at most
+    /// once.
+    generation: u64,
+    /// Helpers that may still join the current fan-out.
+    open_slots: usize,
+    /// Helpers inside the current fan-out's worker loop.
+    running: usize,
+    /// The first panic a helper caught in the current fan-out.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+struct Pool {
+    state: Mutex<State>,
+    /// Helpers wait here for a fan-out to join.
+    published: Condvar,
+    /// The caller waits here for its running helpers to leave.
+    drained: Condvar,
+    /// Held by the one fan-out the helpers serve.
+    claimed: AtomicBool,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(State { job: None, generation: 0, open_slots: 0, running: 0, panic: None }),
+    published: Condvar::new(),
+    drained: Condvar::new(),
+    claimed: AtomicBool::new(false),
+};
+
+impl Pool {
+    /// The state lock. Workers run outside it and no code panics while
+    /// holding it, so a poisoned lock still guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A helper thread's life: join each published fan-out that still
+    /// has an open slot, run its loop, report back, repeat.
+    fn serve(&self) {
+        let mut seen = 0;
+        let mut state = self.lock();
+        loop {
+            match state.job {
+                Some(job) if state.generation != seen && state.open_slots > 0 => {
+                    seen = state.generation;
+                    state.open_slots -= 1;
+                    state.running += 1;
+                    drop(state);
+                    // SAFETY: joined under the lock while the job was
+                    // published; see `Job`.
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)() }));
+                    state = self.lock();
+                    state.running -= 1;
+                    if let Err(payload) = result {
+                        state.panic.get_or_insert(payload);
+                    }
+                    if state.running == 0 {
+                        self.drained.notify_one();
+                    }
+                }
+                _ => state = self.published.wait(state).unwrap_or_else(|e| e.into_inner()),
+            }
+        }
+    }
+}
+
+/// Starts the `cores - 1` helpers, once per process. They are never
+/// joined: they live as long as the process, and every panic inside
+/// them is caught and handed to the fan-out's caller.
+fn start_helpers() {
+    static STARTED: Once = Once::new();
+    STARTED.call_once(|| {
+        for i in 1..cores() {
+            thread::Builder::new()
+                .name(format!("mlperf-pool-{i}"))
+                .spawn(|| POOL.serve())
+                .expect("failed to spawn a pool helper thread");
+        }
+    });
+}
+
+/// Releases the pool's claim on every exit path, unwinding included.
+struct Claim;
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        POOL.claimed.store(false, Ordering::Release);
+    }
+}
+
+/// Runs `work` on up to `width` workers: the calling thread plus up to
+/// `width - 1` persistent helpers. `work` is one worker's loop; it must
+/// return once there is nothing left to claim. Returns when every
+/// worker that joined has left, re-raising the first panic.
+fn fan_out(width: usize, work: &(dyn Fn() + Sync)) {
+    // Acquire pairs with `Claim`'s Release: the previous fan-out's
+    // state changes are visible to the next claimant.
+    if width <= 1 || POOL.claimed.swap(true, Ordering::Acquire) {
+        work();
+        return;
+    }
+    let _claim = Claim;
+    start_helpers();
+    // SAFETY: only the lifetime is erased (same fat-pointer layout);
+    // this function does not return until no helper can reach the
+    // pointer again — see `Job`.
+    let job = Job(unsafe {
+        std::mem::transmute::<*const (dyn Fn() + Sync + '_), *const (dyn Fn() + Sync + 'static)>(
+            work,
+        )
+    });
+    let helpers = width - 1;
+    {
+        let mut state = POOL.lock();
+        state.job = Some(job);
+        state.generation += 1;
+        state.open_slots = helpers;
+    }
+    if helpers == 1 {
+        POOL.published.notify_one();
+    } else {
+        POOL.published.notify_all();
+    }
+    let mine = panic::catch_unwind(AssertUnwindSafe(work));
+    let theirs = {
+        let mut state = POOL.lock();
+        // Withdraw the job: a helper that has not joined yet never
+        // will. Wait only for those already inside.
+        state.job = None;
+        state.open_slots = 0;
+        while state.running > 0 {
+            state = POOL.drained.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        state.panic.take()
+    };
+    if let Err(payload) = mine {
+        panic::resume_unwind(payload);
+    }
+    if let Some(payload) = theirs {
+        panic::resume_unwind(payload);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Entry points.
+// ---------------------------------------------------------------------
+
 /// Applies `f` to every item on the pool and returns the results in
 /// item order.
 ///
@@ -157,19 +352,21 @@ where
 /// the results in item order, threading explicit per-worker state
 /// through.
 ///
-/// Each worker calls `init` once when it starts, passes the state to
-/// every `f(state, index, item)` call for the items it claims, and
-/// finally calls `done(state, claimed)` with how many items it claimed
-/// — the hook instrumented callers use for per-worker histograms.
+/// Each worker calls `init` once when it starts claiming, passes the
+/// state to every `f(state, index, item)` call for the items it
+/// claims, and finally calls `done(state, claimed)` with how many items
+/// it claimed — the hook instrumented callers use for per-worker
+/// histograms. A helper that arrives after the last item was claimed
+/// calls neither.
 ///
-/// With one worker (single core, or a single item) everything runs
-/// inline on the calling thread.
+/// With one worker (single core, a single item, or another fan-out in
+/// flight) everything runs inline on the calling thread.
 ///
 /// # Panics
 ///
-/// A panic in `f` on a worker thread propagates to the caller once the
-/// scope joins; callers that must survive faulty items should catch
-/// panics inside `f` (as the submission ingest pipeline does).
+/// A panic in `f` on any worker propagates to the caller once every
+/// worker has left; callers that must survive faulty items should
+/// catch panics inside `f` (as the submission ingest pipeline does).
 pub fn parallel_map_workers<T, R, S, I, F, D>(items: &[T], init: I, f: F, done: D) -> Vec<R>
 where
     T: Sync,
@@ -183,42 +380,28 @@ where
     }
     let workers = workers_for(items.len());
     let pool = PoolScope::enter(workers, items.len());
-    if workers == 1 {
+    let next = AtomicUsize::new(0);
+    let results = Mutex::new(Vec::with_capacity(items.len()));
+    fan_out(workers, &|| {
+        if next.load(Ordering::Relaxed) >= items.len() {
+            return;
+        }
         let _busy = BusyWorker::enter();
         let mut state = init();
-        let out = items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
-        done(state, items.len() as u64);
-        pool.items_done(items.len() as u64);
-        return out;
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, R)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, init, f, done) = (&next, &init, &f, &done);
-                let pool = &pool;
-                scope.spawn(move || {
-                    let _busy = BusyWorker::enter();
-                    let mut state = init();
-                    let mut out = Vec::new();
-                    let mut claimed = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        claimed += 1;
-                        out.push((i, f(&mut state, i, &items[i])));
-                        pool.items_done(1);
-                    }
-                    done(state, claimed);
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("pool worker panicked")).collect()
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            out.push((i, f(&mut state, i, &items[i])));
+            pool.items_done(1);
+        }
+        done(state, out.len() as u64);
+        results.lock().expect("a worker panicked while storing its results").extend(out);
     });
-    indexed.sort_by_key(|(i, _)| *i);
+    let mut indexed = results.into_inner().expect("a worker panicked while storing its results");
+    indexed.sort_unstable_by_key(|(i, _)| *i);
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
@@ -257,42 +440,27 @@ where
     let n_chunks = data.len().div_ceil(chunk_len);
     let workers = workers_for(n_chunks);
     let pool = PoolScope::enter(workers, n_chunks);
-    if workers == 1 {
-        let _busy = BusyWorker::enter();
-        let mut state = init();
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(&mut state, i, chunk);
-        }
-        pool.items_done(n_chunks as u64);
-        return;
-    }
     // Hand each chunk to exactly one worker through a take-once slot;
     // the mutex is uncontended (each slot is locked once) and keeps the
     // distribution safe without unsafe pointer arithmetic.
     let chunks: Vec<Mutex<Option<&mut [E]>>> =
         data.chunks_mut(chunk_len).map(|c| Mutex::new(Some(c))).collect();
     let next = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let (next, chunks, init, f) = (&next, &chunks, &init, &f);
-            let pool = &pool;
-            scope.spawn(move || {
-                let _busy = BusyWorker::enter();
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    let chunk = chunks[i]
-                        .lock()
-                        .expect("chunk slot poisoned")
-                        .take()
-                        .expect("chunk claimed twice");
-                    f(&mut state, i, chunk);
-                    pool.items_done(1);
-                }
-            });
+    fan_out(workers, &|| {
+        if next.load(Ordering::Relaxed) >= n_chunks {
+            return;
+        }
+        let _busy = BusyWorker::enter();
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_chunks {
+                break;
+            }
+            let chunk =
+                chunks[i].lock().expect("chunk slot poisoned").take().expect("chunk claimed twice");
+            f(&mut state, i, chunk);
+            pool.items_done(1);
         }
     });
 }
@@ -378,11 +546,16 @@ mod tests {
         assert_eq!(workers_for(0), 1);
         assert_eq!(workers_for(1), 1);
         assert!(workers_for(1_000_000) >= 1);
+        assert_eq!(
+            workers_for(usize::MAX),
+            thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+        );
     }
 
     // The stats are process-global and other tests run concurrently,
     // so these assert monotone deltas and invariants, never absolute
-    // values.
+    // values (`tests/persistent.rs` runs serialized and asserts the
+    // idle gauges exactly).
 
     #[test]
     fn stats_count_completed_items_and_fanouts() {
@@ -396,18 +569,6 @@ mod tests {
         assert!(after.fanouts >= before.fanouts + 2);
         assert!(after.workers_busy_peak >= 1, "even a serial loop counts as one busy worker");
         assert!(after.fanout_width_peak >= 1);
-    }
-
-    #[test]
-    fn stats_gauges_return_to_idle() {
-        let items: Vec<usize> = (0..64).collect();
-        parallel_map(&items, |i| *i);
-        // Our own work is done; other tests may still be running, so
-        // the gauges are bounded, not zero.
-        let stats = pool_stats();
-        assert!(stats.queue_depth < 1_000_000, "no leaked queue depth");
-        assert!(stats.active_pools < 1_000, "no leaked active pools");
-        assert!(stats.workers_busy <= stats.workers_busy_peak);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! drop-min/max rule of [`mlperf_core::aggregate`].
 //!
 //! A round ([`round`]) ingests many bundles concurrently — log parsing
-//! and bundle review each fan out over a scoped worker pool — and is
+//! and bundle review each fan out over the worker pool — and is
 //! fault-tolerant: malformed or non-compliant bundles are quarantined
 //! with structured [`review::ReviewReport`] diagnostics and never
 //! abort the round. Accepted scores feed per-benchmark/division

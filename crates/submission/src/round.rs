@@ -1,6 +1,6 @@
 //! Running a whole round: concurrent ingest with quarantine.
 //!
-//! Ingest is two-staged on the same scoped worker pool: stage one
+//! Ingest is two-staged on the same worker pool: stage one
 //! parses every `:::MLLOG` log of every bundle concurrently (logs are
 //! the unit of work, so a single huge bundle no longer serializes the
 //! round); stage two reviews each bundle against the round references
@@ -121,7 +121,7 @@ impl RoundOutcome {
     }
 }
 
-/// Applies `f` to every item on the shared scoped worker pool
+/// Applies `f` to every item on the shared persistent worker pool
 /// ([`mlperf_pool`]) and returns the results in item order. The
 /// uninstrumented convenience over [`parallel_map_with`]; production
 /// callers thread a telemetry handle through instead.
@@ -219,7 +219,7 @@ where
 }
 
 /// Runs review over every bundle and publishes the outcome. Log
-/// parsing and bundle review each run on a scoped worker pool; ingest
+/// parsing and bundle review each run on the worker pool; ingest
 /// is fault-tolerant throughout — parse failures, compliance
 /// violations, and even panics inside parsing or review become
 /// quarantined reports. A bad bundle can never abort the round.
@@ -475,7 +475,7 @@ fn unspill_report(path: &Path) -> Result<ReviewReport, String> {
 type StreamedResult = ((u64, usize), Vec<AcceptedEntry>, Vec<ScenarioEntry>, StoredReport);
 
 /// Incremental round review for streaming ingest: bundles are fed one
-/// at a time — each parsed and reviewed on the scoped worker pool, its
+/// at a time — each parsed and reviewed on the worker pool, its
 /// log text droppable as soon as [`StreamingReview::add_bundle`]
 /// returns — and [`StreamingReview::finish`] publishes a
 /// [`RoundOutcome`] identical to [`run_round`] over the same bundles

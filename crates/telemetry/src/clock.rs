@@ -20,7 +20,7 @@ pub trait Clock {
 }
 
 /// Wall-clock time via [`Instant`], origin at creation. `Sync`, so one
-/// instance can be shared across a scoped worker pool to give every
+/// instance can be shared across a worker pool to give every
 /// worker the same timeline.
 #[derive(Debug)]
 pub struct MonotonicClock {

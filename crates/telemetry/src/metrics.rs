@@ -4,7 +4,7 @@
 //! Registration (looking a metric up by name) takes a mutex on the
 //! registry map — a cold path instrumentation sites hit once. The hot
 //! path — `add`/`set`/`observe` — is lock-free: every handle is an
-//! `Arc` around atomics, so the scoped worker pool can hammer one
+//! `Arc` around atomics, so the worker pool can hammer one
 //! counter from every core without serializing. Handles from a
 //! disabled [`crate::Telemetry`] carry no storage at all; their hot
 //! path is a no-op branch.

@@ -3,6 +3,7 @@
 //!
 //! Layout convention is NCHW: `[batch, channels, height, width]`.
 
+use crate::kernels::kernels;
 use crate::tensor::Tensor;
 
 /// Stride / padding / kernel configuration of a 2-D convolution or
@@ -55,11 +56,7 @@ impl Tensor {
     ///
     /// Panics on rank or channel mismatches.
     pub fn conv2d(&self, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Tensor {
-        let kind = self
-            .backend()
-            .join(weight.backend())
-            .join(bias.map_or(self.backend(), |b| b.backend()));
-        kind.imp().conv2d(self, weight, bias, spec).on(kind)
+        kernels().conv2d(self, weight, bias, spec)
     }
 
     /// Direct (non-im2col) 2-D convolution. Mathematically identical to
@@ -128,9 +125,7 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     spec: Conv2dSpec,
 ) -> (Tensor, Tensor, Tensor) {
-    let kind = input.backend().join(weight.backend()).join(grad_out.backend());
-    let (gi, gw, gb) = kind.imp().conv2d_backward(input, weight, grad_out, spec);
-    (gi.on(kind), gw.on(kind), gb.on(kind))
+    kernels().conv2d_backward(input, weight, grad_out, spec)
 }
 
 /// Max pooling over square windows. Returns the pooled tensor and, for
@@ -258,6 +253,7 @@ pub(crate) fn nchw(t: &Tensor) -> (usize, usize, usize, usize) {
 }
 
 /// Lowers one sample to column form: `[c*k*k, oh*ow]`.
+#[cfg(any(test, feature = "oracle"))]
 pub(crate) fn im2col_one(
     input: &Tensor,
     ni: usize,
@@ -272,9 +268,10 @@ pub(crate) fn im2col_one(
     Tensor::from_vec(cols, &[c * k * k, oh * ow])
 }
 
-/// [`im2col_one`] into a caller-provided buffer of `c*k*k * oh*ow`
-/// elements, so pooled kernels can reuse one scratch allocation per
-/// worker. Every element is written; the buffer need not be zeroed.
+/// Lowers sample `ni` to column form `[c*k*k, oh*ow]` in a
+/// caller-provided buffer of `c*k*k * oh*ow` elements, so pooled
+/// kernels can reuse one scratch allocation per worker. Every element
+/// is written; the buffer need not be zeroed.
 pub(crate) fn im2col_into(
     input: &Tensor,
     ni: usize,
@@ -308,13 +305,12 @@ pub(crate) fn im2col_into(
     }
 }
 
-/// Adjoint of [`im2col_one`]: accumulates column gradients back into the
-/// padded input positions of sample `ni`.
+/// Adjoint of [`im2col_into`]: accumulates column gradients back into
+/// the padded input positions of one sample's `[c, h, w]` gradient.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn col2im_one(
-    dcols: &Tensor,
-    grad_in: &mut Tensor,
-    ni: usize,
+pub(crate) fn col2im_into(
+    dcols: &[f32],
+    grad_in: &mut [f32],
     c: usize,
     h: usize,
     w: usize,
@@ -324,6 +320,7 @@ pub(crate) fn col2im_one(
 ) {
     let k = spec.kernel;
     let pad = spec.padding as isize;
+    assert_eq!(grad_in.len(), c * h * w, "col2im_into buffer size mismatch");
     for ci in 0..c {
         for ky in 0..k {
             for kx in 0..k {
@@ -338,8 +335,8 @@ pub(crate) fn col2im_one(
                         if ix < 0 || ix >= w as isize {
                             continue;
                         }
-                        grad_in.data_mut()[((ni * c + ci) * h + iy as usize) * w + ix as usize] +=
-                            dcols.data()[row * oh * ow + oy * ow + ox];
+                        grad_in[(ci * h + iy as usize) * w + ix as usize] +=
+                            dcols[row * oh * ow + oy * ow + ox];
                     }
                 }
             }

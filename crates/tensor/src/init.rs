@@ -4,7 +4,6 @@
 //! seed so that run-to-run variance (paper §2.2.3) is controlled
 //! entirely by seed choice — identical seeds give identical runs.
 
-use crate::backend::{default_backend, BackendKind};
 use crate::tensor::Tensor;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
@@ -14,42 +13,20 @@ use rand::{Rng, RngCore, SeedableRng};
 ///
 /// Wraps a [`StdRng`] so workload generators, weight initialization and
 /// data traversal can share one reproducible stream.
-///
-/// The stream also carries a [`BackendKind`]: every tensor it mints is
-/// tagged with it, so constructing a model's weights from a
-/// [`TensorRng::with_backend`] stream moves the whole model (and, by
-/// tag inheritance, the whole training step) onto that backend. The
-/// backend never influences the drawn values.
 #[derive(Debug)]
 pub struct TensorRng {
     rng: StdRng,
-    backend: BackendKind,
 }
 
 impl TensorRng {
-    /// Creates a generator from a 64-bit seed, minting tensors on the
-    /// process-default backend.
+    /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
-        TensorRng { rng: StdRng::seed_from_u64(seed), backend: default_backend() }
+        TensorRng { rng: StdRng::seed_from_u64(seed) }
     }
 
-    /// Retags the stream so minted tensors land on `kind` (builder
-    /// style). The random sequence is unaffected.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> TensorRng {
-        self.backend = kind;
-        self
-    }
-
-    /// The backend minted tensors are tagged with.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// Splits off an independent generator (seeded from this stream),
-    /// inheriting this stream's backend tag.
+    /// Splits off an independent generator (seeded from this stream).
     pub fn split(&mut self) -> TensorRng {
-        TensorRng::new(self.rng.next_u64()).with_backend(self.backend)
+        TensorRng::new(self.rng.next_u64())
     }
 
     /// Tensor of i.i.d. uniform values in `[lo, hi)`.
@@ -57,7 +34,7 @@ impl TensorRng {
         let dist = Uniform::new(lo, hi);
         let n: usize = shape.iter().product();
         let data = (0..n).map(|_| dist.sample(&mut self.rng)).collect();
-        Tensor::from_vec(data, shape).on(self.backend)
+        Tensor::from_vec(data, shape)
     }
 
     /// Tensor of i.i.d. normal values (Box–Muller).
@@ -74,7 +51,7 @@ impl TensorRng {
                 data.push(mean + std * r * theta.sin());
             }
         }
-        Tensor::from_vec(data, shape).on(self.backend)
+        Tensor::from_vec(data, shape)
     }
 
     /// Kaiming-He uniform initialization for a weight tensor whose
@@ -199,18 +176,5 @@ mod tests {
         let mut c1 = a.split();
         let mut c2 = a.split();
         assert_ne!(c1.uniform(&[8], 0.0, 1.0), c2.uniform(&[8], 0.0, 1.0));
-    }
-
-    #[test]
-    fn backend_tag_flows_through_rng_and_splits() {
-        let mut rng = TensorRng::new(12).with_backend(BackendKind::Blocked);
-        assert_eq!(rng.backend(), BackendKind::Blocked);
-        assert_eq!(rng.normal(&[4], 0.0, 1.0).backend(), BackendKind::Blocked);
-        let mut child = rng.split();
-        assert_eq!(child.uniform(&[4], 0.0, 1.0).backend(), BackendKind::Blocked);
-        // The tag never changes the drawn values.
-        let mut a = TensorRng::new(77);
-        let mut b = TensorRng::new(77).with_backend(BackendKind::Blocked);
-        assert_eq!(a.normal(&[16], 0.0, 1.0), b.normal(&[16], 0.0, 1.0));
     }
 }

@@ -1,133 +1,35 @@
-//! Execution backends: who actually runs the matmul/bmm/conv and fused
-//! map-reduce kernels.
+//! The tensor kernels: who actually runs the matmul/bmm/conv and fused
+//! map-reduce inner loops.
 //!
-//! The [`Backend`] trait owns kernel execution, in the style of
-//! autograph's `Device`-parameterized tensors and dfdx's split between
-//! op definition and op registration: [`Tensor`](crate::Tensor) methods
-//! validate shapes and allocate outputs, then dispatch the inner loops
-//! to the backend both operands resolve to.
-//!
-//! Two backends exist:
-//!
-//! - [`BackendKind::Reference`] is the original scalar code of this
-//!   crate, extracted verbatim. It is the semantic baseline: every
-//!   convergence result in the workspace is defined by this backend,
-//!   and it must never change numerically.
-//! - [`BackendKind::Blocked`] adds register-tiled and cache-blocked
-//!   GEMM kernels, fused transposed-GEMM variants (so backward passes
-//!   skip materializing `Aᵀ`/`Bᵀ` copies), buffer-reusing convolution,
-//!   and a multithreaded outer loop on the shared scoped worker pool
-//!   (`mlperf-pool`, the same pool the submission ingest uses).
+//! [`Tensor`](crate::Tensor) methods validate shapes and allocate
+//! outputs, then hand the inner loops to the [`Kernels`] returned by
+//! [`kernels`]. There is one production implementation, [`Blocked`]:
+//! register-tiled and cache-blocked GEMM kernels, fused transposed-GEMM
+//! variants (so backward passes skip materializing `Aᵀ`/`Bᵀ` copies),
+//! buffer-reusing convolution, and a multithreaded outer loop on the
+//! shared persistent worker pool (`mlperf-pool`, the same pool the
+//! submission ingest uses).
 //!
 //! # Numerical contract
 //!
-//! `Blocked` preserves the *per-output-element summation order* of
-//! `Reference` in every kernel: each output element accumulates its
-//! `k` products in ascending-`k` order into an accumulator that starts
-//! at `+0.0`, exactly like the reference `ikj` loop. Tiling changes
-//! which elements are computed near each other in time, never the
-//! order of additions within one element, so for finite inputs the two
-//! backends are **bit-identical**. The only divergence is non-finite
-//! propagation: the reference GEMM skips `a` values that equal zero
-//! (so `0 × ∞` never happens), while the blocked kernels multiply
-//! through (yielding `NaN`); this is unobservable for finite data.
-//!
-//! # Selection
-//!
-//! Every tensor carries a [`BackendKind`] tag. Freshly constructed
-//! tensors take the process-global default (see
-//! [`set_default_backend`]); binary operations resolve to
-//! [`BackendKind::join`] of their operands, so a model whose weights
-//! were initialized on `Blocked` pulls the whole training step onto
-//! `Blocked` without any per-callsite changes — activations, gradients
-//! and optimizer state inherit the tag through the ops that produce
-//! them.
+//! The kernels preserve the *per-output-element summation order* of
+//! the original scalar loops, which survive as the test-only reference
+//! oracle (`crate::oracle`, compiled for this crate's tests and behind
+//! the `oracle` feature that only dev-dependencies enable). Each output
+//! element accumulates its `k` products in ascending-`k` order into an
+//! accumulator that starts at `+0.0`, exactly like the reference `ikj`
+//! loop. Tiling changes which elements are computed near each other in
+//! time, never the order of additions within one element, and the conv
+//! backward pass folds its per-sample weight and bias partials in
+//! ascending sample order, so for finite inputs the kernels are
+//! **bit-identical** to the oracle. The only divergence is non-finite
+//! propagation: the reference GEMM skips `a` values that equal zero (so
+//! `0 × ∞` never happens), while the blocked kernels multiply through
+//! (yielding `NaN`); this is unobservable for finite data.
 
-use crate::conv::{col2im_one, im2col_into, im2col_one, nchw, Conv2dSpec};
+use crate::conv::{col2im_into, im2col_into, nchw, Conv2dSpec};
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-
-/// Which execution backend a tensor's kernels run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum BackendKind {
-    /// The original scalar kernels, verbatim — the numerical baseline.
-    Reference = 0,
-    /// Register-tiled, cache-blocked, pool-parallel kernels that are
-    /// bit-identical to [`BackendKind::Reference`] on finite inputs.
-    Blocked = 1,
-}
-
-impl BackendKind {
-    /// Every backend, for parity sweeps.
-    pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Blocked];
-
-    /// The implementation behind this kind.
-    pub fn imp(self) -> &'static dyn Backend {
-        match self {
-            BackendKind::Reference => &Reference,
-            BackendKind::Blocked => &Blocked,
-        }
-    }
-
-    /// Stable lower-case label (`"reference"` / `"blocked"`), also
-    /// accepted by [`BackendKind::parse`] — the CLI `--backend` flag
-    /// round-trips through these.
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendKind::Reference => "reference",
-            BackendKind::Blocked => "blocked",
-        }
-    }
-
-    /// Parses a [`BackendKind::label`]; `None` for anything else.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "reference" => Some(BackendKind::Reference),
-            "blocked" => Some(BackendKind::Blocked),
-            _ => None,
-        }
-    }
-
-    /// Backend a binary op resolves to: `Blocked` wins, so a single
-    /// `Blocked` operand (typically the model weights) is infectious.
-    pub fn join(self, other: BackendKind) -> BackendKind {
-        if self == BackendKind::Blocked || other == BackendKind::Blocked {
-            BackendKind::Blocked
-        } else {
-            BackendKind::Reference
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Process-global default backend for freshly constructed tensors.
-/// Global (not thread-local) because the harness fans seeds out across
-/// OS threads and all of them must honor one selection.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(BackendKind::Reference as u8);
-
-/// Sets the backend newly constructed tensors (and [`crate::TensorRng`]
-/// streams) default to. The CLI `--backend` flag calls this once at
-/// startup; tests that need a specific backend on one tensor should
-/// prefer [`Tensor::on`], which cannot race with other tests in the
-/// same process.
-pub fn set_default_backend(kind: BackendKind) {
-    DEFAULT_BACKEND.store(kind as u8, Ordering::Relaxed);
-}
-
-/// The current process-global default backend.
-pub fn default_backend() -> BackendKind {
-    if DEFAULT_BACKEND.load(Ordering::Relaxed) == BackendKind::Blocked as u8 {
-        BackendKind::Blocked
-    } else {
-        BackendKind::Reference
-    }
-}
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Kernel executor: the inner loops of matrix multiplication,
 /// convolution, and the fused row-wise map-reduce ops.
@@ -135,10 +37,7 @@ pub fn default_backend() -> BackendKind {
 /// All GEMM-family methods assume `out` is zero-filled (callers
 /// allocate with `vec![0.0; ..]`) and may either accumulate into it or
 /// overwrite it — the two are indistinguishable under that contract.
-pub trait Backend: Sync {
-    /// The backend's [`BackendKind::label`].
-    fn name(&self) -> &'static str;
-
+pub(crate) trait Kernels: Sync {
     /// `out += a[m,k] · b[k,n]`, `out` pre-zeroed.
     fn gemm(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
 
@@ -152,7 +51,7 @@ pub trait Backend: Sync {
     /// transpose copy.
     fn gemm_atb(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
 
-    /// Batched [`Backend::gemm`] over `batch` independent problems.
+    /// Batched [`Kernels::gemm`] over `batch` independent problems.
     #[allow(clippy::too_many_arguments)]
     fn bmm(
         &self,
@@ -165,7 +64,7 @@ pub trait Backend: Sync {
         n: usize,
     );
 
-    /// Batched [`Backend::gemm_abt`].
+    /// Batched [`Kernels::gemm_abt`].
     #[allow(clippy::too_many_arguments)]
     fn bmm_abt(
         &self,
@@ -178,7 +77,7 @@ pub trait Backend: Sync {
         n: usize,
     );
 
-    /// Batched [`Backend::gemm_atb`].
+    /// Batched [`Kernels::gemm_atb`].
     #[allow(clippy::too_many_arguments)]
     fn bmm_atb(
         &self,
@@ -235,15 +134,20 @@ pub trait Backend: Sync {
     fn sum_axis(&self, src: &[f32], out: &mut [f32], outer: usize, extent: usize, inner: usize);
 }
 
-// ---------------------------------------------------------------------
-// Reference backend: the original scalar kernels, verbatim.
-// ---------------------------------------------------------------------
+/// The kernels this thread's tensor ops run on: always [`Blocked`],
+/// except inside a test's `oracle::reference` scope.
+pub(crate) fn kernels() -> &'static dyn Kernels {
+    #[cfg(any(test, feature = "oracle"))]
+    if crate::oracle::active() {
+        return &crate::oracle::Reference;
+    }
+    &Blocked
+}
 
-/// The original scalar kernels of this crate, extracted verbatim.
-pub struct Reference;
-
-/// The reference accumulating GEMM kernel, exactly as it was before
-/// backends existed: i-k-j loop order with a zero-skip on `a`.
+/// The scalar i-k-j accumulating GEMM with a zero-skip on `a` — the
+/// original kernel of this crate, which [`Blocked`] still dispatches
+/// outputs narrower than one register tile to and the reference oracle
+/// uses throughout.
 pub(crate) fn reference_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         for kk in 0..k {
@@ -260,251 +164,27 @@ pub(crate) fn reference_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k:
     }
 }
 
-/// The reference 2-D transpose loop (as in `Tensor::transpose`),
-/// operating on raw buffers so the reference transposed-GEMM variants
-/// compose it with [`reference_gemm`] exactly like the pre-backend
-/// call sites did.
-fn reference_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows * cols];
-    for i in 0..rows {
-        for j in 0..cols {
-            out[j * rows + i] = src[i * cols + j];
-        }
-    }
-    out
-}
-
-impl Backend for Reference {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
-    fn gemm(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        reference_gemm(a, b, out, m, k, n);
-    }
-
-    fn gemm_abt(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        // Verbatim composition of the pre-backend call sites:
-        // `a.matmul(&b.transpose())`.
-        let bt = reference_transpose(b, n, k); // [n,k] -> [k,n]
-        reference_gemm(a, &bt, out, m, k, n);
-    }
-
-    fn gemm_atb(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        // Verbatim composition of `a.transpose().matmul(b)`.
-        let at = reference_transpose(a, k, m); // [k,m] -> [m,k]
-        reference_gemm(&at, b, out, m, k, n);
-    }
-
-    fn bmm(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for bi in 0..batch {
-            reference_gemm(
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * k * n..(bi + 1) * k * n],
-                &mut out[bi * m * n..(bi + 1) * m * n],
-                m,
-                k,
-                n,
-            );
-        }
-    }
-
-    fn bmm_abt(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for bi in 0..batch {
-            self.gemm_abt(
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * n * k..(bi + 1) * n * k],
-                &mut out[bi * m * n..(bi + 1) * m * n],
-                m,
-                k,
-                n,
-            );
-        }
-    }
-
-    fn bmm_atb(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for bi in 0..batch {
-            self.gemm_atb(
-                &a[bi * k * m..(bi + 1) * k * m],
-                &b[bi * k * n..(bi + 1) * k * n],
-                &mut out[bi * m * n..(bi + 1) * m * n],
-                m,
-                k,
-                n,
-            );
-        }
-    }
-
-    fn gemm_bias(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        bias: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        reference_gemm(a, b, out, m, k, n);
-        for i in 0..m {
-            for (o, &bv) in out[i * n..i * n + n].iter_mut().zip(bias.iter()) {
-                *o += bv;
-            }
-        }
-    }
-
-    fn conv2d(
-        &self,
-        input: &Tensor,
-        weight: &Tensor,
-        bias: Option<&Tensor>,
-        spec: Conv2dSpec,
-    ) -> Tensor {
-        let (n, c, h, w) = nchw(input);
-        let ws = weight.shape();
-        assert_eq!(ws.len(), 4, "conv2d weight must be 4-D, got {:?}", ws);
-        let (oc, wc, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
-        assert_eq!(wc, c, "conv2d channel mismatch: input {c}, weight {wc}");
-        assert_eq!(kh, spec.kernel, "weight kernel height disagrees with spec");
-        assert_eq!(kw, spec.kernel, "weight kernel width disagrees with spec");
-        let oh = spec.out_extent(h);
-        let ow = spec.out_extent(w);
-        let wmat = weight.reshape(&[oc, c * kh * kw]);
-        let mut out = Vec::with_capacity(n * oc * oh * ow);
-        for ni in 0..n {
-            let cols = im2col_one(input, ni, spec, oh, ow);
-            let mut prod = vec![0.0f32; oc * oh * ow];
-            reference_gemm(wmat.data(), cols.data(), &mut prod, oc, c * kh * kw, oh * ow);
-            out.extend_from_slice(&prod);
-        }
-        let mut out = Tensor::from_vec(out, &[n, oc, oh, ow]);
-        if let Some(b) = bias {
-            assert_eq!(b.shape(), &[oc], "conv2d bias must be [{oc}]");
-            let data = out.data_mut();
-            for ni in 0..n {
-                for o in 0..oc {
-                    let bv = b.data()[o];
-                    let base = (ni * oc + o) * oh * ow;
-                    for v in &mut data[base..base + oh * ow] {
-                        *v += bv;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn conv2d_backward(
-        &self,
-        input: &Tensor,
-        weight: &Tensor,
-        grad_out: &Tensor,
-        spec: Conv2dSpec,
-    ) -> (Tensor, Tensor, Tensor) {
-        let (n, c, h, w) = nchw(input);
-        let ws = weight.shape();
-        let (oc, _, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
-        let oh = spec.out_extent(h);
-        let ow = spec.out_extent(w);
-        assert_eq!(
-            grad_out.shape(),
-            &[n, oc, oh, ow],
-            "grad_out shape mismatch in conv2d_backward"
-        );
-        let wmat = weight.reshape(&[oc, c * kh * kw]);
-        let wmat_t = wmat.transpose(); // [c*kh*kw, oc]
-        let mut grad_w = Tensor::zeros(&[oc, c * kh * kw]);
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let mut grad_b = Tensor::zeros(&[oc]);
-        for ni in 0..n {
-            let go = grad_out.narrow(0, ni, 1).reshape(&[oc, oh * ow]);
-            let cols = im2col_one(input, ni, spec, oh, ow); // [c*kh*kw, oh*ow]
-            grad_w.axpy(1.0, &{
-                let mut prod = vec![0.0f32; oc * c * kh * kw];
-                let cols_t = reference_transpose(cols.data(), c * kh * kw, oh * ow);
-                reference_gemm(go.data(), &cols_t, &mut prod, oc, oh * ow, c * kh * kw);
-                Tensor::from_vec(prod, &[oc, c * kh * kw])
-            });
-            let mut dcols = vec![0.0f32; c * kh * kw * oh * ow];
-            reference_gemm(wmat_t.data(), go.data(), &mut dcols, c * kh * kw, oc, oh * ow);
-            let dcols = Tensor::from_vec(dcols, &[c * kh * kw, oh * ow]);
-            col2im_one(&dcols, &mut grad_in, ni, c, h, w, spec, oh, ow);
-            for o in 0..oc {
-                let s: f32 = go.data()[o * oh * ow..(o + 1) * oh * ow].iter().sum();
-                grad_b.data_mut()[o] += s;
-            }
-        }
-        (grad_in, grad_w.reshape(&[oc, c, kh, kw]), grad_b)
-    }
-
-    fn softmax_rows(&self, src: &[f32], out: &mut [f32], rows: usize, inner: usize) {
-        for r in 0..rows {
-            let row = &src[r * inner..(r + 1) * inner];
-            let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-            let mut z = 0.0;
-            for (i, &v) in row.iter().enumerate() {
-                let e = (v - m).exp();
-                out[r * inner + i] = e;
-                z += e;
-            }
-            for slot in &mut out[r * inner..(r + 1) * inner] {
-                *slot /= z;
-            }
-        }
-    }
-
-    fn log_softmax_rows(&self, src: &[f32], out: &mut [f32], rows: usize, inner: usize) {
-        for r in 0..rows {
-            let row = &src[r * inner..(r + 1) * inner];
-            let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-            let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
-            for (i, &v) in row.iter().enumerate() {
-                out[r * inner + i] = v - lse;
-            }
-        }
-    }
-
-    fn sum_axis(&self, src: &[f32], out: &mut [f32], outer: usize, extent: usize, inner: usize) {
-        for o in 0..outer {
-            for e in 0..extent {
-                let base = (o * extent + e) * inner;
-                for i in 0..inner {
-                    out[o * inner + i] += src[base + i];
-                }
+/// Serial axis sum in the reference order: for each output element,
+/// ascending over `extent`.
+pub(crate) fn sum_axis_serial(
+    src: &[f32],
+    out: &mut [f32],
+    outer: usize,
+    extent: usize,
+    inner: usize,
+) {
+    for o in 0..outer {
+        for e in 0..extent {
+            let base = (o * extent + e) * inner;
+            for i in 0..inner {
+                out[o * inner + i] += src[base + i];
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Blocked backend: register-tiled, cache-blocked, pool-parallel.
+// Blocked: register-tiled, cache-blocked, pool-parallel.
 // ---------------------------------------------------------------------
 
 /// Register-tiled, cache-blocked kernels with a pooled outer loop.
@@ -543,7 +223,7 @@ static PACKED_BYTES: AtomicU64 = AtomicU64::new(0);
 static GEMM_FANOUTS: AtomicU64 = AtomicU64::new(0);
 static FANOUT_WIDTH_PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// A point-in-time reading of the `Blocked` backend's dispatch
+/// A point-in-time reading of the kernel dispatch
 /// counters (all zero until [`enable_kernel_stats`] is called).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelStats {
@@ -577,21 +257,6 @@ pub fn kernel_stats() -> KernelStats {
         packed_bytes: PACKED_BYTES.load(Ordering::Relaxed),
         gemm_fanouts: GEMM_FANOUTS.load(Ordering::Relaxed),
         fanout_width_peak: FANOUT_WIDTH_PEAK.load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the kernel dispatch counters (the profiler resets between
-/// backends to attribute counts per run).
-pub fn reset_kernel_stats() {
-    for cell in [
-        &GEMM_REFERENCE,
-        &GEMM_DIRECT,
-        &GEMM_PACKED,
-        &PACKED_BYTES,
-        &GEMM_FANOUTS,
-        &FANOUT_WIDTH_PEAK,
-    ] {
-        cell.store(0, Ordering::Relaxed);
     }
 }
 
@@ -765,11 +430,7 @@ fn blocked_gemm_atb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
     blocked_gemm_serial(&at, b, out, m, k, n);
 }
 
-impl Backend for Blocked {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
+impl Kernels for Blocked {
     fn gemm(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         let row_blocks = m.div_ceil(MR);
         if 2 * m * k * n >= PARALLEL_MIN_FLOPS && mlperf_pool::workers_for(row_blocks) > 1 {
@@ -985,34 +646,53 @@ impl Backend for Blocked {
             &[n, oc, oh, ow],
             "grad_out shape mismatch in conv2d_backward"
         );
-        let (ckk, ohow) = (c * kh * kw, oh * ow);
+        let (ckk, ohow, chw) = (c * kh * kw, oh * ow, c * h * w);
         let wmat = weight.reshape(&[oc, ckk]);
-        let mut grad_w = Tensor::zeros(&[oc, ckk]);
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let mut grad_b = Tensor::zeros(&[oc]);
-        // Serial over samples — the per-sample `grad_w` accumulation
-        // order is part of the numerical contract — but with all four
-        // scratch buffers reused and both transposes fused away.
-        let mut cols = vec![0.0f32; ckk * ohow];
-        let mut gw = vec![0.0f32; oc * ckk];
-        let mut dcols = Tensor::zeros(&[ckk, ohow]);
-        for ni in 0..n {
-            let go = &grad_out.data()[ni * oc * ohow..(ni + 1) * oc * ohow];
-            im2col_into(input, ni, spec, oh, ow, &mut cols);
-            gw.fill(0.0);
-            blocked_gemm_abt(go, &cols, &mut gw, oc, ohow, ckk);
-            for (acc, &g) in grad_w.data_mut().iter_mut().zip(gw.iter()) {
+        // Samples run in parallel, each into its own part:
+        // `[grad_in of the sample | grad_w partial | grad_b partial]`.
+        // The sample's `grad_in` slice is disjoint from every other's;
+        // the weight and bias partials are folded below in ascending
+        // sample order, which is the accumulation order the numerical
+        // contract fixes. Each worker reuses its two column buffers.
+        let part = chw + oc * ckk + oc;
+        let mut parts = vec![0.0f32; n * part];
+        mlperf_pool::parallel_chunks_mut_with(
+            &mut parts,
+            part,
+            || (vec![0.0f32; ckk * ohow], vec![0.0f32; ckk * ohow]),
+            |(cols, dcols), ni, chunk| {
+                let go = &grad_out.data()[ni * oc * ohow..(ni + 1) * oc * ohow];
+                let (gin, partials) = chunk.split_at_mut(chw);
+                let (gw, gb) = partials.split_at_mut(oc * ckk);
+                im2col_into(input, ni, spec, oh, ow, cols);
+                blocked_gemm_abt(go, cols, gw, oc, ohow, ckk);
+                dcols.fill(0.0);
+                blocked_gemm_atb(wmat.data(), go, dcols, ckk, oc, ohow);
+                col2im_into(dcols, gin, c, h, w, spec, oh, ow);
+                for (o, slot) in gb.iter_mut().enumerate() {
+                    *slot = go[o * ohow..(o + 1) * ohow].iter().sum();
+                }
+            },
+        );
+        let mut grad_in = Vec::with_capacity(n * chw);
+        let mut grad_w = vec![0.0f32; oc * ckk];
+        let mut grad_b = vec![0.0f32; oc];
+        for sample in parts.chunks_exact(part) {
+            let (gin, partials) = sample.split_at(chw);
+            let (gw, gb) = partials.split_at(oc * ckk);
+            grad_in.extend_from_slice(gin);
+            for (acc, &g) in grad_w.iter_mut().zip(gw) {
                 *acc += g;
             }
-            dcols.data_mut().fill(0.0);
-            blocked_gemm_atb(wmat.data(), go, dcols.data_mut(), ckk, oc, ohow);
-            col2im_one(&dcols, &mut grad_in, ni, c, h, w, spec, oh, ow);
-            for o in 0..oc {
-                let s: f32 = go[o * ohow..(o + 1) * ohow].iter().sum();
-                grad_b.data_mut()[o] += s;
+            for (acc, &g) in grad_b.iter_mut().zip(gb) {
+                *acc += g;
             }
         }
-        (grad_in, grad_w.reshape(&[oc, c, kh, kw]), grad_b)
+        (
+            Tensor::from_vec(grad_in, &[n, c, h, w]),
+            Tensor::from_vec(grad_w, &[oc, c, kh, kw]),
+            Tensor::from_vec(grad_b, &[oc]),
+        )
     }
 
     fn softmax_rows(&self, src: &[f32], out: &mut [f32], rows: usize, inner: usize) {
@@ -1056,7 +736,7 @@ impl Backend for Blocked {
                 }
             });
         } else {
-            Reference.sum_axis(src, out, outer, extent, inner);
+            sum_axis_serial(src, out, outer, extent, inner);
         }
     }
 }
@@ -1089,6 +769,7 @@ fn log_softmax_one_row(row: &[f32], out: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::init::TensorRng;
+    use crate::oracle::Reference;
 
     /// Deterministic pseudo-random buffer without burning TensorRng
     /// state (exercises negatives, zeros and magnitude spread).
@@ -1182,23 +863,5 @@ mod tests {
             Blocked.gemm_atb(&a, &b, &mut bl, m, k, n);
             assert_bits_equal(&r, &bl, &format!("gemm_atb {m}x{k}x{n}"));
         }
-    }
-
-    #[test]
-    fn join_prefers_blocked() {
-        let (r, b) = (BackendKind::Reference, BackendKind::Blocked);
-        assert_eq!(r.join(r), r);
-        assert_eq!(r.join(b), b);
-        assert_eq!(b.join(r), b);
-        assert_eq!(b.join(b), b);
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.imp().name(), kind.label());
-        }
-        assert_eq!(BackendKind::parse("gpu"), None);
     }
 }

@@ -25,24 +25,23 @@
 
 #![warn(missing_docs)]
 
-mod backend;
 mod conv;
 mod init;
+mod kernels;
 mod matmul;
 mod ops;
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle;
 mod precision;
 mod reduce;
 mod shape;
 mod tensor;
 
-pub use backend::{
-    default_backend, enable_kernel_stats, kernel_stats, reset_kernel_stats, set_default_backend,
-    Backend, BackendKind, KernelStats,
-};
 pub use conv::{
     avg_pool2d, avg_pool2d_backward, conv2d_backward, max_pool2d, max_pool2d_backward, Conv2dSpec,
 };
 pub use init::TensorRng;
+pub use kernels::{enable_kernel_stats, kernel_stats, KernelStats};
 pub use precision::Precision;
 pub use shape::{broadcast_shapes, Shape};
 pub use tensor::Tensor;

@@ -1,10 +1,10 @@
 //! Matrix multiplication: 2-D GEMM, batched 3-D matmul, and the fused
 //! transposed/bias variants the backward passes and layers use.
 //!
-//! Shape checking and output allocation live here; the inner loops are
-//! dispatched to the [`Backend`](crate::Backend) the operands resolve
-//! to (see [`BackendKind::join`](crate::BackendKind::join)).
+//! Shape checking and output allocation live here; the inner loops run
+//! in the crate's kernels.
 
+use crate::kernels::kernels;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -26,10 +26,9 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm(self.data(), rhs.data(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n]).on(kind)
+        kernels().gemm(self.data(), rhs.data(), &mut out, m, k, n);
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Fused `self · rhsᵀ`: `[m, c] x [n, c] -> [m, n]` (both operands
@@ -55,10 +54,9 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm_abt(self.data(), rhs.data(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n]).on(kind)
+        kernels().gemm_abt(self.data(), rhs.data(), &mut out, m, k, n);
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Fused `selfᵀ · rhs`: `[c, m] x [c, n] -> [m, n]` (both operands
@@ -84,10 +82,9 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm_atb(self.data(), rhs.data(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n]).on(kind)
+        kernels().gemm_atb(self.data(), rhs.data(), &mut out, m, k, n);
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Fused affine map: `self · rhs + bias` with `bias` (`[n]`)
@@ -113,10 +110,9 @@ impl Tensor {
             rhs.shape()
         );
         assert_eq!(bias.shape(), &[n], "matmul_bias bias must be [{n}], got {:?}", bias.shape());
-        let kind = self.backend().join(rhs.backend()).join(bias.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm_bias(self.data(), rhs.data(), bias.data(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n]).on(kind)
+        kernels().gemm_bias(self.data(), rhs.data(), bias.data(), &mut out, m, k, n);
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Batched matrix product of two 3-D tensors:
@@ -133,10 +129,9 @@ impl Tensor {
         let (b2, k2, n) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm inner dimension mismatch: {:?} x {:?}", self.shape(), rhs.shape());
-        let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; b * m * n];
-        kind.imp().bmm(self.data(), rhs.data(), &mut out, b, m, k, n);
-        Tensor::from_vec(out, &[b, m, n]).on(kind)
+        kernels().bmm(self.data(), rhs.data(), &mut out, b, m, k, n);
+        Tensor::from_vec(out, &[b, m, n])
     }
 
     /// Batched fused `self · rhsᵀ`: `[b, m, c] x [b, n, c] -> [b, m, n]`.
@@ -155,10 +150,9 @@ impl Tensor {
         let (b2, n, k2) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm_abt batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm_abt contraction mismatch: {:?} x {:?}ᵀ", self.shape(), rhs.shape());
-        let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; b * m * n];
-        kind.imp().bmm_abt(self.data(), rhs.data(), &mut out, b, m, k, n);
-        Tensor::from_vec(out, &[b, m, n]).on(kind)
+        kernels().bmm_abt(self.data(), rhs.data(), &mut out, b, m, k, n);
+        Tensor::from_vec(out, &[b, m, n])
     }
 
     /// Batched fused `selfᵀ · rhs`: `[b, c, m] x [b, c, n] -> [b, m, n]`.
@@ -177,10 +171,9 @@ impl Tensor {
         let (b2, k2, n) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm_atb batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm_atb contraction mismatch: {:?}ᵀ x {:?}", self.shape(), rhs.shape());
-        let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; b * m * n];
-        kind.imp().bmm_atb(self.data(), rhs.data(), &mut out, b, m, k, n);
-        Tensor::from_vec(out, &[b, m, n]).on(kind)
+        kernels().bmm_atb(self.data(), rhs.data(), &mut out, b, m, k, n);
+        Tensor::from_vec(out, &[b, m, n])
     }
 
     /// Transposes the last two dimensions of a 3-D tensor (copying).
@@ -198,7 +191,6 @@ impl Tensor {
 mod tests {
     use super::*;
     use crate::assert_close;
-    use crate::backend::BackendKind;
 
     #[test]
     fn matmul_small() {
@@ -255,46 +247,40 @@ mod tests {
         assert_eq!(t.at(&[1, 2, 0]), a.at(&[1, 0, 2]));
     }
 
+    /// Runs `check` on the production kernels and on the oracle.
+    fn on_both(check: impl Fn()) {
+        check();
+        crate::oracle::reference(check);
+    }
+
     #[test]
     fn fused_transposed_variants_match_composition() {
-        for kind in BackendKind::ALL {
-            let a = Tensor::arange(12, -2.0, 0.7).reshape(&[3, 4]).on(kind);
-            let b = Tensor::arange(20, 1.0, -0.3).reshape(&[5, 4]).on(kind);
-            assert_eq!(a.matmul_abt(&b), a.matmul(&b.transpose()), "abt on {kind}");
+        on_both(|| {
+            let a = Tensor::arange(12, -2.0, 0.7).reshape(&[3, 4]);
+            let b = Tensor::arange(20, 1.0, -0.3).reshape(&[5, 4]);
+            assert_eq!(a.matmul_abt(&b), a.matmul(&b.transpose()), "abt");
 
-            let a = Tensor::arange(12, -2.0, 0.7).reshape(&[4, 3]).on(kind);
-            let b = Tensor::arange(20, 1.0, -0.3).reshape(&[4, 5]).on(kind);
-            assert_eq!(a.matmul_atb(&b), a.transpose().matmul(&b), "atb on {kind}");
+            let a = Tensor::arange(12, -2.0, 0.7).reshape(&[4, 3]);
+            let b = Tensor::arange(20, 1.0, -0.3).reshape(&[4, 5]);
+            assert_eq!(a.matmul_atb(&b), a.transpose().matmul(&b), "atb");
 
-            let a = Tensor::arange(24, -2.0, 0.5).reshape(&[2, 3, 4]).on(kind);
-            let b = Tensor::arange(40, 1.0, -0.2).reshape(&[2, 5, 4]).on(kind);
-            assert_eq!(a.bmm_abt(&b), a.bmm(&b.transpose_last2()), "bmm_abt on {kind}");
+            let a = Tensor::arange(24, -2.0, 0.5).reshape(&[2, 3, 4]);
+            let b = Tensor::arange(40, 1.0, -0.2).reshape(&[2, 5, 4]);
+            assert_eq!(a.bmm_abt(&b), a.bmm(&b.transpose_last2()), "bmm_abt");
 
-            let a = Tensor::arange(24, -2.0, 0.5).reshape(&[2, 4, 3]).on(kind);
-            let b = Tensor::arange(40, 1.0, -0.2).reshape(&[2, 4, 5]).on(kind);
-            assert_eq!(a.bmm_atb(&b), a.transpose_last2().bmm(&b), "bmm_atb on {kind}");
-        }
+            let a = Tensor::arange(24, -2.0, 0.5).reshape(&[2, 4, 3]);
+            let b = Tensor::arange(40, 1.0, -0.2).reshape(&[2, 4, 5]);
+            assert_eq!(a.bmm_atb(&b), a.transpose_last2().bmm(&b), "bmm_atb");
+        });
     }
 
     #[test]
     fn matmul_bias_matches_matmul_plus_bias() {
-        for kind in BackendKind::ALL {
-            let a = Tensor::arange(6, -1.0, 0.5).reshape(&[2, 3]).on(kind);
-            let b = Tensor::arange(12, 0.3, 0.25).reshape(&[3, 4]).on(kind);
+        on_both(|| {
+            let a = Tensor::arange(6, -1.0, 0.5).reshape(&[2, 3]);
+            let b = Tensor::arange(12, 0.3, 0.25).reshape(&[3, 4]);
             let bias = Tensor::from_slice(&[0.1, -0.2, 0.3, -0.4]);
-            let fused = a.matmul_bias(&b, &bias);
-            let composed = &a.matmul(&b) + &bias;
-            assert_eq!(fused, composed, "matmul_bias on {kind}");
-            assert_eq!(fused.backend(), kind);
-        }
-    }
-
-    #[test]
-    fn backend_tag_propagates_through_matmul() {
-        let a = Tensor::eye(2).on(BackendKind::Blocked);
-        let b = Tensor::eye(2); // default: reference
-        assert_eq!(a.matmul(&b).backend(), BackendKind::Blocked);
-        assert_eq!(b.matmul(&a).backend(), BackendKind::Blocked);
-        assert_eq!(b.matmul(&b).backend(), BackendKind::Reference);
+            assert_eq!(a.matmul_bias(&b, &bias), &a.matmul(&b) + &bias, "matmul_bias");
+        });
     }
 }

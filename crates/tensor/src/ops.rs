@@ -1,7 +1,6 @@
 //! Elementwise arithmetic with NumPy-style broadcasting, plus the
 //! nonlinearities used by the benchmark models.
 
-use crate::backend::BackendKind;
 use crate::shape::{broadcast_shapes, Shape};
 use crate::tensor::Tensor;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -13,48 +12,41 @@ impl Tensor {
     ///
     /// Panics if the shapes are not broadcast-compatible.
     pub fn zip_broadcast(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        let kind = self.backend().join(other.backend());
         if self.shape() == other.shape() {
             // Fast path: identical shapes.
             let data =
                 self.data().iter().zip(other.data().iter()).map(|(&a, &b)| f(a, b)).collect();
-            return Tensor::from_vec(data, self.shape()).on(kind);
+            return Tensor::from_vec(data, self.shape());
         }
         let out_dims = broadcast_shapes(self.shape(), other.shape()).unwrap_or_else(|| {
             panic!("shapes {:?} and {:?} are not broadcast-compatible", self.shape(), other.shape())
         });
-        let out_shape = Shape::new(&out_dims);
-        let mut out = vec![0.0; out_shape.len()];
+        let mut out = vec![0.0; Shape::new(&out_dims).len()];
         let a_idx = BroadcastIndexer::new(self.shape(), &out_dims);
         let b_idx = BroadcastIndexer::new(other.shape(), &out_dims);
-        if kind == BackendKind::Blocked {
-            // Odometer iteration: running source offsets with carry
-            // propagation instead of a div/mod per output element.
-            // Applies the same `f` to the same element pairs as the
-            // reference path, so values are identical.
-            zip_broadcast_odometer(
+        #[cfg(any(test, feature = "oracle"))]
+        if crate::oracle::active() {
+            zip_broadcast_reference(
                 self.data(),
                 other.data(),
                 &mut out,
-                &a_idx.strides,
-                &b_idx.strides,
+                &a_idx,
+                &b_idx,
                 &out_dims,
                 &f,
             );
-        } else {
-            let strides = out_shape.strides();
-            let ndim = out_dims.len();
-            let mut idx = vec![0usize; ndim];
-            for (lin, slot) in out.iter_mut().enumerate() {
-                let mut rem = lin;
-                for i in 0..ndim {
-                    idx[i] = rem / strides[i];
-                    rem %= strides[i];
-                }
-                *slot = f(self.data()[a_idx.offset(&idx)], other.data()[b_idx.offset(&idx)]);
-            }
+            return Tensor::from_vec(out, &out_dims);
         }
-        Tensor::from_vec(out, &out_dims).on(kind)
+        zip_broadcast_odometer(
+            self.data(),
+            other.data(),
+            &mut out,
+            &a_idx.strides,
+            &b_idx.strides,
+            &out_dims,
+            &f,
+        );
+        Tensor::from_vec(out, &out_dims)
     }
 
     /// Broadcasts this tensor to `dims`.
@@ -180,7 +172,7 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
     }
 }
 
-/// The `Blocked` broadcast walk: keeps running source offsets for both
+/// The broadcast walk: keeps running source offsets for both
 /// operands and advances them odometer-style (increment the innermost
 /// non-contracted dimension, carry on overflow), with the innermost
 /// dimension specialized on its `(a, b)` stride pattern. Element pairs
@@ -249,6 +241,31 @@ fn zip_broadcast_odometer(
     }
 }
 
+/// The reference oracle's broadcast walk: a div/mod index decomposition
+/// per output element.
+#[cfg(any(test, feature = "oracle"))]
+fn zip_broadcast_reference(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    a_idx: &BroadcastIndexer,
+    b_idx: &BroadcastIndexer,
+    out_dims: &[usize],
+    f: &impl Fn(f32, f32) -> f32,
+) {
+    let strides = Shape::new(out_dims).strides();
+    let ndim = out_dims.len();
+    let mut idx = vec![0usize; ndim];
+    for (lin, slot) in out.iter_mut().enumerate() {
+        let mut rem = lin;
+        for i in 0..ndim {
+            idx[i] = rem / strides[i];
+            rem %= strides[i];
+        }
+        *slot = f(a[a_idx.offset(&idx)], b[b_idx.offset(&idx)]);
+    }
+}
+
 /// Precomputed mapping from broadcast-output indices back to source
 /// offsets: dimensions of extent 1 get stride 0.
 struct BroadcastIndexer {
@@ -267,6 +284,7 @@ impl BroadcastIndexer {
         BroadcastIndexer { strides }
     }
 
+    #[cfg(any(test, feature = "oracle"))]
     fn offset(&self, idx: &[usize]) -> usize {
         idx.iter().zip(self.strides.iter()).map(|(&i, &s)| i * s).sum()
     }
@@ -396,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_broadcast_matches_reference() {
+    fn broadcast_walk_matches_reference() {
         // Every stride specialization of the odometer walk: (1,1) via
         // distinct shapes, (1,0), (0,1), and the general strided case.
         let cases: &[(&[usize], &[usize])] = &[
@@ -412,10 +430,9 @@ mod tests {
             let lb: usize = sb.iter().product();
             let a = Tensor::arange(la, -1.0, 0.7).reshape(sa);
             let b = Tensor::arange(lb, 2.0, -0.4).reshape(sb);
-            let reference = a.zip_broadcast(&b, |x, y| x * 2.0 - y);
-            let blocked = a.clone().on(BackendKind::Blocked).zip_broadcast(&b, |x, y| x * 2.0 - y);
-            assert_eq!(reference, blocked, "broadcast {sa:?} vs {sb:?}");
-            assert_eq!(blocked.backend(), BackendKind::Blocked);
+            let walked = a.zip_broadcast(&b, |x, y| x * 2.0 - y);
+            let reference = crate::oracle::reference(|| a.zip_broadcast(&b, |x, y| x * 2.0 - y));
+            assert_eq!(reference, walked, "broadcast {sa:?} vs {sb:?}");
         }
     }
 

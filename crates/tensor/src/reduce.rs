@@ -1,6 +1,7 @@
 //! Reductions (sum, mean, max, argmax), softmax / log-softmax, and
 //! gradient-side helpers such as [`Tensor::sum_to`].
 
+use crate::kernels::kernels;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -52,14 +53,14 @@ impl Tensor {
         let extent = dims[axis];
         let inner: usize = dims[axis + 1..].iter().product();
         let mut out = vec![0.0; outer * inner];
-        self.backend().imp().sum_axis(self.data(), &mut out, outer, extent, inner);
+        kernels().sum_axis(self.data(), &mut out, outer, extent, inner);
         let mut new_dims: Vec<usize> = dims.to_vec();
         if keepdim {
             new_dims[axis] = 1;
         } else {
             new_dims.remove(axis);
         }
-        Tensor::from_vec(out, &new_dims).on(self.backend())
+        Tensor::from_vec(out, &new_dims)
     }
 
     /// Mean along `axis` (see [`Tensor::sum_axis`]).
@@ -94,7 +95,7 @@ impl Tensor {
         } else {
             new_dims.remove(axis);
         }
-        Tensor::from_vec(out, &new_dims).on(self.backend())
+        Tensor::from_vec(out, &new_dims)
     }
 
     /// Index of the maximum along the last axis, one per leading slice.
@@ -129,8 +130,8 @@ impl Tensor {
         let inner = *self.shape().last().expect("softmax of scalar");
         let rows = self.len() / inner;
         let mut out = vec![0.0; self.len()];
-        self.backend().imp().softmax_rows(self.data(), &mut out, rows, inner);
-        Tensor::from_vec(out, self.shape()).on(self.backend())
+        kernels().softmax_rows(self.data(), &mut out, rows, inner);
+        Tensor::from_vec(out, self.shape())
     }
 
     /// Log-softmax along the last axis (stable log-sum-exp form).
@@ -138,8 +139,8 @@ impl Tensor {
         let inner = *self.shape().last().expect("log_softmax of scalar");
         let rows = self.len() / inner;
         let mut out = vec![0.0; self.len()];
-        self.backend().imp().log_softmax_rows(self.data(), &mut out, rows, inner);
-        Tensor::from_vec(out, self.shape()).on(self.backend())
+        kernels().log_softmax_rows(self.data(), &mut out, rows, inner);
+        Tensor::from_vec(out, self.shape())
     }
 
     /// Reduces this tensor (by summation) down to `dims`, inverting a

@@ -1,7 +1,6 @@
 //! The [`Tensor`] type: a contiguous, row-major, n-dimensional `f32`
 //! array.
 
-use crate::backend::{default_backend, BackendKind};
 use crate::shape::Shape;
 use std::fmt;
 
@@ -10,25 +9,10 @@ use std::fmt;
 /// All layout is contiguous; operations that change layout (transpose,
 /// permute) copy. This keeps gradient code simple and predictable at the
 /// model sizes used by the benchmark suite.
-///
-/// Every tensor carries the [`BackendKind`] its compute-heavy
-/// operations (matmul, convolution, softmax, reductions) dispatch to;
-/// new tensors pick up the process-wide default
-/// ([`crate::set_default_backend`]) and derived tensors inherit from
-/// their operands, so tagging the model weights once is enough to move
-/// a whole training run onto a backend. The tag is execution metadata:
-/// it does not participate in equality.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
-    backend: BackendKind,
-}
-
-impl PartialEq for Tensor {
-    fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape && self.data == other.data
-    }
 }
 
 impl Tensor {
@@ -46,25 +30,12 @@ impl Tensor {
     pub fn full(shape: &[usize], value: f32) -> Self {
         let shape = Shape::new(shape);
         let data = vec![value; shape.len()];
-        Tensor { shape, data, backend: default_backend() }
+        Tensor { shape, data }
     }
 
     /// Creates a zero-dimensional (scalar) tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::new(&[]), data: vec![value], backend: default_backend() }
-    }
-
-    /// The backend this tensor's operations dispatch to.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// Retags the tensor onto `kind` (builder style). Data is untouched;
-    /// only where future operations execute changes.
-    #[must_use]
-    pub fn on(mut self, kind: BackendKind) -> Tensor {
-        self.backend = kind;
-        self
+        Tensor { shape: Shape::new(&[]), data: vec![value] }
     }
 
     /// Creates a tensor from a flat buffer in row-major order.
@@ -83,7 +54,7 @@ impl Tensor {
             shape,
             shape.len()
         );
-        Tensor { shape, data, backend: default_backend() }
+        Tensor { shape, data }
     }
 
     /// Creates a 1-D tensor from a slice.
@@ -188,16 +159,12 @@ impl Tensor {
             "cannot reshape {} elements into shape {new_shape}",
             self.data.len()
         );
-        Tensor { shape: new_shape, data: self.data.clone(), backend: self.backend }
+        Tensor { shape: new_shape, data: self.data.clone() }
     }
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-            backend: self.backend,
-        }
+        Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
     /// Applies `f` to every element in place.
@@ -215,7 +182,7 @@ impl Tensor {
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "transpose requires a 2-D tensor, got {}", self.shape);
         let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = Tensor::zeros(&[n, m]).on(self.backend);
+        let mut out = Tensor::zeros(&[n, m]);
         for i in 0..m {
             for j in 0..n {
                 out.data[j * m + i] = self.data[i * n + j];
@@ -255,7 +222,7 @@ impl Tensor {
             }
             *slot = self.data[src];
         }
-        Tensor { shape: new_shape, data: out, backend: self.backend }
+        Tensor { shape: new_shape, data: out }
     }
 
     /// Extracts `len` slices starting at `start` along dimension `axis`.
@@ -282,7 +249,7 @@ impl Tensor {
             let base = o * dims[axis] * inner + start * inner;
             out.extend_from_slice(&self.data[base..base + len * inner]);
         }
-        Tensor::from_vec(out, &new_dims).on(self.backend)
+        Tensor::from_vec(out, &new_dims)
     }
 
     /// Concatenates tensors along `axis`.
@@ -316,8 +283,7 @@ impl Tensor {
                 out.extend_from_slice(&t.data[base..base + extent * inner]);
             }
         }
-        let kind = tensors.iter().fold(tensors[0].backend, |acc, t| acc.join(t.backend));
-        Tensor::from_vec(out, &new_dims).on(kind)
+        Tensor::from_vec(out, &new_dims)
     }
 
     /// Gathers rows of a 2-D tensor: `out[i] = self[indices[i]]`.
@@ -333,7 +299,7 @@ impl Tensor {
             assert!(i < rows, "row index {i} out of bounds for {rows} rows");
             out.extend_from_slice(&self.data[i * cols..(i + 1) * cols]);
         }
-        Tensor::from_vec(out, &[indices.len(), cols]).on(self.backend)
+        Tensor::from_vec(out, &[indices.len(), cols])
     }
 
     /// Gathers arbitrary flat elements: `out[i] = self.data[indices[i]]`,
@@ -348,7 +314,7 @@ impl Tensor {
             assert!(i < self.data.len(), "flat index {i} out of bounds");
             out.push(self.data[i]);
         }
-        Tensor::from_vec(out, &[indices.len()]).on(self.backend)
+        Tensor::from_vec(out, &[indices.len()])
     }
 
     /// Frobenius (L2) norm of all elements.

@@ -37,7 +37,7 @@
 //!   concurrent ingest server keeping a round open, reviewing bundles
 //!   on arrival, serving cached leaderboards and Prometheus metrics
 //!   over a hand-rolled HTTP/1.1 layer.
-//! - [`pool`] — the shared scoped worker pool behind every parallel
+//! - [`pool`] — the shared persistent worker pool behind every parallel
 //!   stage, with process-wide busy/queue instrumentation.
 //! - [`telemetry`] — zero-dependency instrumentation shared by the
 //!   harness, ingest, and archive layers: hierarchical spans on
